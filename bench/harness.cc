@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/rng.h"
@@ -255,20 +254,6 @@ std::string json_flag(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
   }
   return "";
-}
-
-std::size_t size_flag(int argc, char** argv, const char* name,
-                      std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[i + 1], &end, 10);
-      if (end != argv[i + 1] && *end == '\0') {
-        return static_cast<std::size_t>(v);
-      }
-    }
-  }
-  return fallback;
 }
 
 void Table::print() const {

@@ -1,31 +1,30 @@
 // Fixed-size open-addressing combine table for the map-side combine
-// (DESIGN.md §18.2).
+// (DESIGN.md §13).
 //
 // The table maps a record key to a small dense group id (gid) that indexes
 // the caller's accumulator array. Layout: power-of-two slot count, linear
-// probing, tombstone-free (keys are never removed). Each slot is a single
-// 64-bit word — `tag<<32 | gid+1` — claimed with one CAS, plus a key word
-// published before the gid field; lookups are wait-free loads on the hot
-// path. The table is sized for its bucket run and *never grows*: when an
-// insert would push the load factor past kMaxLoadNum/kMaxLoadDen the key is
-// refused (kSpill) and the caller appends that encounter to an overflow run
-// instead. A refused key is refused forever (nothing is ever removed), so
-// every encounter of a spilled key lands in the overflow run in encounter
-// order — which is exactly what lets the caller fold the overflow with a
-// stable sort and keep results bit-identical to the sequential map
-// implementation. The load bound also guarantees probe termination: at
-// least half the slots are always empty, so a miss always reaches an empty
-// slot instead of probing forever — the graceful-degradation contract for
-// pathological all-distinct-keys inputs (asserted in reset()).
+// probing, tombstone-free (keys are never removed). Each slot is one 64-bit
+// word — `tag<<32 | gid+1`, 0 = empty — so a probe compares hash tags
+// without touching the separate key array. The table is sized for its
+// bucket run and *never grows*: when an insert would push the load factor
+// past kMaxLoadNum/kMaxLoadDen the key is refused (kSpill) and the caller
+// appends that encounter to an overflow run instead. A refused key is
+// refused forever (nothing is ever removed), so every encounter of a
+// spilled key lands in the overflow run in encounter order — which is
+// exactly what lets the caller fold the overflow with a stable sort and
+// keep results bit-identical to the historical hash-map implementation. The
+// load bound also guarantees probe termination: at least half the slots are
+// always empty, so a miss always reaches an empty slot instead of probing
+// forever — the graceful-degradation contract for pathological
+// all-distinct-keys inputs (asserted in reset()).
 //
 // Determinism: gids are assigned by the caller in encounter order, so the
-// table's contents are a pure function of the input sequence. Concurrent
-// claims (exercised by the TSan churn test) are linearized by the slot CAS;
-// the deterministic data-plane paths drive one table per bucket from one
-// thread.
+// table's contents are a pure function of the input sequence. A table is
+// single-threaded; concurrent engine tasks each use their own
+// (thread_local) instance.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -67,78 +66,50 @@ class CombineTable {
     // Probe termination requires strictly sub-capacity occupancy.
     assert(max_size_ < capacity_);
     if (slots_.size() < capacity_) {
-      slots_ = std::vector<std::atomic<std::uint64_t>>(capacity_);
-      keys_ = std::vector<std::atomic<std::uint64_t>>(capacity_);
+      slots_.assign(capacity_, 0);
+      keys_.resize(capacity_);
     } else {
-      for (std::size_t i = 0; i < capacity_; ++i) {
-        slots_[i].store(0, std::memory_order_relaxed);
-      }
+      std::fill_n(slots_.begin(), capacity_, 0);
     }
-    size_.store(0, std::memory_order_relaxed);
+    size_ = 0;
   }
 
   /// Look up `key`; if absent, try to claim it with gid `new_gid`.
   /// Returns the key's gid (== new_gid iff this call inserted it), or
   /// kSpill when the key is absent and the load bound has been reached.
-  /// Safe for concurrent callers (slot CAS linearizes claims; the loser of
-  /// a same-key race adopts the winner's gid).
   std::uint32_t find_or_claim(std::uint64_t key,
                               std::uint32_t new_gid) noexcept {
     const std::uint64_t h = common::mix64(key);
-    // Tag lives in the high word; force it nonzero so a claimed-but-
-    // unpublished slot (gid field 0) is never confused with an empty one.
-    const std::uint64_t tagword =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(h >> 32) | 1u)
-        << 32;
+    const std::uint64_t tag = h & kTagMask;
     std::size_t idx = static_cast<std::size_t>(h) & mask_;
     for (;;) {
-      std::uint64_t w = slots_[idx].load(std::memory_order_acquire);
+      const std::uint64_t w = slots_[idx];
       if (w == 0) {
-        // Reserve a unit of the load budget *before* the CAS so the bound
-        // holds even under concurrent claims.
-        if (size_.fetch_add(1, std::memory_order_relaxed) >= max_size_) {
-          size_.fetch_sub(1, std::memory_order_relaxed);
-          return kSpill;
-        }
-        std::uint64_t expected = 0;
-        if (slots_[idx].compare_exchange_strong(expected, tagword,
-                                                std::memory_order_acq_rel)) {
-          keys_[idx].store(key, std::memory_order_relaxed);
-          slots_[idx].store(tagword | (static_cast<std::uint64_t>(new_gid) + 1),
-                            std::memory_order_release);
-          return new_gid;
-        }
-        size_.fetch_sub(1, std::memory_order_relaxed);  // lost the slot race
-        w = expected;
+        if (size_ >= max_size_) return kSpill;
+        ++size_;
+        keys_[idx] = key;
+        slots_[idx] = tag | (static_cast<std::uint64_t>(new_gid) + 1);
+        return new_gid;
       }
-      if ((w & kTagMask) == tagword) {
-        // Tag match: spin past a claimer mid-publish, then compare keys.
-        while ((w & kGidMask) == 0) {
-          w = slots_[idx].load(std::memory_order_acquire);
-        }
-        if (keys_[idx].load(std::memory_order_relaxed) == key) {
-          return static_cast<std::uint32_t>((w & kGidMask) - 1);
-        }
+      if ((w & kTagMask) == tag && keys_[idx] == key) {
+        return static_cast<std::uint32_t>((w & kGidMask) - 1);
       }
       idx = (idx + 1) & mask_;
     }
   }
 
-  std::size_t size() const noexcept {
-    return size_.load(std::memory_order_relaxed);
-  }
+  std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t max_size() const noexcept { return max_size_; }
 
   /// Visit every resident (key, gid) pair in unspecified slot order (the
-  /// caller sorts for emission). Requires quiescence — no concurrent claims.
+  /// caller sorts for emission).
   template <typename F>
   void for_each(F&& f) const {
     for (std::size_t i = 0; i < capacity_; ++i) {
-      const std::uint64_t w = slots_[i].load(std::memory_order_acquire);
-      if ((w & kGidMask) != 0) {
-        f(keys_[i].load(std::memory_order_relaxed),
-          static_cast<std::uint32_t>((w & kGidMask) - 1));
+      const std::uint64_t w = slots_[i];
+      if (w != 0) {
+        f(keys_[i], static_cast<std::uint32_t>((w & kGidMask) - 1));
       }
     }
   }
@@ -147,9 +118,9 @@ class CombineTable {
   static constexpr std::uint64_t kGidMask = 0xffffffffull;
   static constexpr std::uint64_t kTagMask = ~kGidMask;
 
-  std::vector<std::atomic<std::uint64_t>> slots_;  // tag<<32 | gid+1; 0=empty
-  std::vector<std::atomic<std::uint64_t>> keys_;
-  std::atomic<std::size_t> size_{0};
+  std::vector<std::uint64_t> slots_;  // tag<<32 | gid+1; 0 = empty
+  std::vector<std::uint64_t> keys_;
+  std::size_t size_ = 0;
   std::size_t capacity_ = 0;
   std::size_t max_size_ = 0;
   std::size_t mask_ = 0;

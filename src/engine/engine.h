@@ -24,7 +24,6 @@
 #include "engine/block_manager.h"
 #include "engine/cluster.h"
 #include "engine/cost_model.h"
-#include "engine/dataplane.h"
 #include "engine/dataset.h"
 #include "engine/fault.h"
 #include "engine/health.h"
@@ -112,13 +111,6 @@ struct EngineOptions {
   CostModel cost_model;
   /// Host threads used to actually execute tasks (0 = hardware concurrency).
   std::size_t host_threads = 0;
-  /// Worker threads for the data plane's sharded scatter / combine / merge
-  /// primitives (DESIGN.md §18). 1 = run them inline on the task's thread
-  /// (the PR-5 sequential path); 0 = hardware concurrency. They run on a
-  /// pool separate from the task executor, so a task blocking in a parallel
-  /// primitive can never deadlock against its own pool. Results are
-  /// bit-identical at any value — only wall time changes.
-  std::size_t data_plane_threads = 1;
   /// Record per-second utilization samples (Fig. 11-14).
   bool record_timeline = true;
   /// Map-side combine for reduceByKey (Spark's combiner, DESIGN.md §13):
@@ -362,13 +354,6 @@ class Engine {
   /// file-local helpers there can name it.
   struct JobContext;
 
-  /// Execution context handed to the data-plane primitives (DESIGN.md §18).
-  /// Default-constructed (inline/sequential) unless
-  /// EngineOptions::data_plane_threads asked for a pool.
-  dataplane::ExecContext data_plane_ctx() const noexcept {
-    return dataplane::ExecContext{dp_pool_.get(), dp_threads_};
-  }
-
  private:
   friend class JobRunner;  ///< stage execution + recovery (scheduler.cc)
 
@@ -388,11 +373,6 @@ class Engine {
   EngineOptions options_;
   std::vector<std::size_t> slot_owner_;  ///< interleaved node index per slot
   std::unique_ptr<common::ThreadPool> pool_;
-  /// Data-plane worker pool (null when data_plane_threads resolves to 1).
-  /// Separate from pool_: tasks block in parallel_for on this pool, so
-  /// sharing the task pool could deadlock when every task thread waits.
-  std::unique_ptr<common::ThreadPool> dp_pool_;
-  std::size_t dp_threads_ = 1;
   ShuffleManager shuffles_;
   BlockManager block_manager_;
   MemoryLedger mem_ledger_;

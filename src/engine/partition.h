@@ -112,29 +112,6 @@ class Partition {
   /// Append all records of `other` (bulk array splice; empties `other`).
   void absorb(Partition&& other);
 
-  // -- parallel scatter support (dataplane.cc, DESIGN.md §18) ---------------
-  // The sharded radix scatter sizes every destination arena up front, then
-  // lets worker threads fill disjoint slot ranges through the mutable_*
-  // pointers — no locks, no per-record push. Callers must fill every grown
-  // slot (keys/aux/ends/values) before the partition is read again; `ends`
-  // entries are absolute exclusive offsets into the payload pool.
-
-  /// Grow the arrays by `recs` record slots and `vals` payload doubles, and
-  /// account `extra_bytes` (the record_bytes sum of the records about to be
-  /// scattered in).
-  void grow_for_scatter(std::size_t recs, std::size_t vals,
-                        std::uint64_t extra_bytes) {
-    keys_.resize(keys_.size() + recs);
-    aux_.resize(aux_.size() + recs);
-    ends_.resize(ends_.size() + recs);
-    values_.resize(values_.size() + vals);
-    bytes_ += extra_bytes;
-  }
-  std::uint64_t* mutable_keys() noexcept { return keys_.data(); }
-  std::uint32_t* mutable_aux() noexcept { return aux_.data(); }
-  std::size_t* mutable_ends() noexcept { return ends_.data(); }
-  double* mutable_values() noexcept { return values_.data(); }
-
   void clear() {
     keys_.clear();
     aux_.clear();

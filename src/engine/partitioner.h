@@ -38,7 +38,7 @@ class Partitioner {
   /// loop) or memoized (range: one binary search per run of equal keys)
   /// loops. The base implementation is the scalar fallback. Must produce
   /// exactly partition_of's assignment — the data plane's determinism
-  /// contract (DESIGN.md §18) depends on it.
+  /// contract (DESIGN.md §13) depends on it.
   virtual void partition_of_batch(const std::uint64_t* keys, std::size_t n,
                                   std::uint32_t* out) const noexcept;
 

@@ -1226,8 +1226,7 @@ Partition JobRunner::read_stage_input(std::size_t s, std::size_t p,
       switch (plan.anchor->op()) {
         case OpKind::kReduceByKey:
           part = dataplane::merge_reduce_by_key(std::move(sides),
-                                                plan.anchor->reduce_fn(),
-                                                eng_.data_plane_ctx());
+                                                plan.anchor->reduce_fn());
           break;
         case OpKind::kGroupByKey:
           part = dataplane::merge_group_by_key(std::move(sides));
@@ -1514,9 +1513,9 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
       if (combine) {
         // Map-side combine: pre-merge per (bucket, key) before the shuffle.
         dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(),
-                                   row, eng_.data_plane_ctx());
+                                   row);
       } else {
-        dataplane::radix_scatter(out, *target, row, eng_.data_plane_ctx());
+        dataplane::radix_scatter(out, *target, row);
         if (may_move) {
           out = Partition();  // release source records
         }
@@ -2530,12 +2529,10 @@ void JobRunner::replay_bucket_row(ShuffleOutput& so, std::size_t m,
       static_cast<double>(out.size()) * (combine ? kCombineWork : kBucketWork);
   if (combine) {
     // Must re-combine exactly as the original map task did so the replayed
-    // row is bit-identical to the lost one (the parallel paths are too, at
-    // any thread count — DESIGN.md §18).
-    dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(), row,
-                               eng_.data_plane_ctx());
+    // row is bit-identical to the lost one.
+    dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(), row);
   } else {
-    dataplane::radix_scatter(out, *target, row, eng_.data_plane_ctx());
+    dataplane::radix_scatter(out, *target, row);
   }
 }
 

@@ -3,6 +3,9 @@
 // per-record reference implementations — same records, same order, same
 // bytes — and the combiner toggle must never change a job's results, its
 // replayed history, or its recovery behavior, only its shuffle volume.
+// Also unit coverage of the CombineTable (load bound, spill contract,
+// reuse) and the batched partitioner dispatch (partition_of_batch ==
+// partition_of).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/combine_table.h"
 #include "engine/dataplane.h"
 #include "engine/engine.h"
 #include "engine/partitioner.h"
@@ -108,6 +112,27 @@ TEST(DataPlane, RadixScatterRangePartitionerSortedRuns) {
 // combine_scatter: equals scatter-then-reduce done the pre-batched way
 // (per-bucket hash map, ascending-key emission, encounter-order fn calls).
 
+std::vector<Partition> combine_reference(const Partition& data,
+                                         const Partitioner& part) {
+  std::vector<std::unordered_map<std::uint64_t, Record>> accs(
+      part.num_partitions());
+  Record scratch;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.materialize_into(i, scratch);
+    auto& acc = accs[part.partition_of(scratch.key)];
+    auto [it, inserted] = acc.try_emplace(scratch.key, scratch);
+    if (!inserted) sum_fn(it->second, scratch);
+  }
+  std::vector<Partition> want(part.num_partitions());
+  for (std::size_t r = 0; r < accs.size(); ++r) {
+    std::vector<std::uint64_t> keys;
+    for (const auto& [k, v] : accs[r]) keys.push_back(k);
+    std::sort(keys.begin(), keys.end());
+    for (const auto k : keys) want[r].push(accs[r].at(k));
+  }
+  return want;
+}
+
 TEST(DataPlane, CombineScatterMatchesScatterThenReduce) {
   const Partition data = make_partition(4096, 256, 23);
   const HashPartitioner hash(7);
@@ -115,27 +140,29 @@ TEST(DataPlane, CombineScatterMatchesScatterThenReduce) {
   std::vector<Partition> got(hash.num_partitions());
   dataplane::combine_scatter(data, hash, sum_fn, got);
 
-  std::vector<Partition> want(hash.num_partitions());
-  {
-    std::vector<std::unordered_map<std::uint64_t, Record>> accs(
-        hash.num_partitions());
-    Record scratch;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data.materialize_into(i, scratch);
-      auto& acc = accs[hash.partition_of(scratch.key)];
-      auto [it, inserted] = acc.try_emplace(scratch.key, scratch);
-      if (!inserted) sum_fn(it->second, scratch);
-    }
-    for (std::size_t r = 0; r < accs.size(); ++r) {
-      std::vector<std::uint64_t> keys;
-      for (const auto& [k, v] : accs[r]) keys.push_back(k);
-      std::sort(keys.begin(), keys.end());
-      for (const auto k : keys) want[r].push(accs[r].at(k));
-    }
-  }
+  const std::vector<Partition> want = combine_reference(data, hash);
   for (std::size_t r = 0; r < want.size(); ++r) {
     expect_same_records(got[r], want[r]);
   }
+}
+
+// One bucket holding more distinct keys than the CombineTable admits: the
+// first kMaxSlots/2 keys combine in the table, every later key spills to
+// the overflow run, and the merged output must still equal the reference.
+TEST(DataPlane, CombineScatterSpillPathMatchesReference) {
+  const Partition data = make_partition(300'000, 200'000, 41);
+  const HashPartitioner one(1);
+
+  std::vector<Partition> got(1);
+  dataplane::combine_scatter(data, one, sum_fn, got);
+
+  const std::vector<Partition> want = combine_reference(data, one);
+  // Precondition: the bucket's distinct keys exceed the table's load bound,
+  // so the spill branch is actually taken.
+  ASSERT_GT(want[0].size(), dataplane::CombineTable::kMaxSlots *
+                                dataplane::CombineTable::kMaxLoadNum /
+                                dataplane::CombineTable::kMaxLoadDen);
+  expect_same_records(got[0], want[0]);
 }
 
 TEST(DataPlane, CombineScatterShrinksBytes) {
@@ -398,6 +425,125 @@ TEST(CombinerFaultRecovery, LostMapRowsReplayIdenticallyInBothModes) {
     EXPECT_GT(got.recomputed_tasks, 0u) << "combine=" << combine;
     EXPECT_GT(got.lost_bytes, 0u) << "combine=" << combine;
     EXPECT_GT(got.recomputed_bytes, 0u) << "combine=" << combine;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CombineTable unit coverage.
+
+TEST(CombineTable, ClaimThenFind) {
+  dataplane::CombineTable t;
+  t.reset(16);
+  EXPECT_EQ(t.find_or_claim(100, 0), 0u);
+  EXPECT_EQ(t.find_or_claim(200, 1), 1u);
+  EXPECT_EQ(t.find_or_claim(100, 2), 0u) << "existing key keeps its gid";
+  EXPECT_EQ(t.find_or_claim(200, 2), 1u);
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST(CombineTable, LoadFactorBoundHolds) {
+  dataplane::CombineTable t;
+  t.reset(64);
+  ASSERT_EQ(t.max_size(), t.capacity() * dataplane::CombineTable::kMaxLoadNum /
+                              dataplane::CombineTable::kMaxLoadDen);
+  ASSERT_LT(t.max_size(), t.capacity());
+  std::uint32_t next = 0;
+  std::size_t spilled = 0;
+  // All-distinct worst case: claims succeed until the bound, then every new
+  // key spills — gracefully, never probing forever.
+  for (std::uint64_t k = 0; k < 4 * t.capacity(); ++k) {
+    const std::uint32_t gid = t.find_or_claim(k * 0x9e3779b9ULL + 1, next);
+    if (gid == dataplane::CombineTable::kSpill) {
+      ++spilled;
+    } else {
+      EXPECT_EQ(gid, next);
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, t.max_size());
+  EXPECT_EQ(t.size(), t.max_size());
+  EXPECT_GT(spilled, 0u);
+}
+
+TEST(CombineTable, SpilledKeyStaysSpilledResidentKeyStaysResident) {
+  dataplane::CombineTable t;
+  t.reset(1);  // minimum capacity 64 -> max_size 32
+  std::uint32_t next = 0;
+  std::uint64_t spilled_key = 0;
+  for (std::uint64_t k = 1; k <= t.max_size() + 1; ++k) {
+    if (t.find_or_claim(k, next) == dataplane::CombineTable::kSpill) {
+      spilled_key = k;
+      break;
+    }
+    ++next;
+  }
+  ASSERT_NE(spilled_key, 0u);
+  // The spill contract: once refused, every later encounter is refused too
+  // (all encounters of a spilled key reach the overflow run in order) while
+  // resident keys keep answering with their gid.
+  EXPECT_EQ(t.find_or_claim(spilled_key, 99), dataplane::CombineTable::kSpill);
+  EXPECT_EQ(t.find_or_claim(spilled_key, 99), dataplane::CombineTable::kSpill);
+  EXPECT_EQ(t.find_or_claim(1, 99), 0u);
+}
+
+TEST(CombineTable, ResetReusesStorageAndClears) {
+  dataplane::CombineTable t;
+  t.reset(1000);
+  const std::size_t cap = t.capacity();
+  for (std::uint64_t k = 0; k < 100; ++k) t.find_or_claim(k + 1, k);
+  EXPECT_EQ(t.size(), 100u);
+  t.reset(500);  // smaller run: same storage, cleared active prefix
+  EXPECT_LE(t.capacity(), cap);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.find_or_claim(7, 5), 5u) << "old residency must be gone";
+}
+
+TEST(CombineTable, ForEachVisitsExactlyResidentKeys) {
+  dataplane::CombineTable t;
+  t.reset(32);
+  for (std::uint64_t k = 0; k < 20; ++k) t.find_or_claim(1000 + k, k);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> seen;
+  t.for_each([&](std::uint64_t key, std::uint32_t gid) {
+    seen.emplace_back(key, gid);
+  });
+  ASSERT_EQ(seen.size(), 20u);
+  std::sort(seen.begin(), seen.end());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].first, 1000 + i);
+    EXPECT_EQ(seen[i].second, i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// partition_of_batch: the autovectorized batch must equal the scalar call.
+
+TEST(PartitionerBatch, HashBatchMatchesScalar) {
+  const HashPartitioner hash(300);
+  common::Xoshiro256 rng(1);
+  // Deliberately not a multiple of 8 to cover the scalar tail.
+  std::vector<std::uint64_t> keys(4099);
+  for (auto& k : keys) k = rng();
+  std::vector<std::uint32_t> got(keys.size());
+  hash.partition_of_batch(keys.data(), keys.size(), got.data());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(got[i], hash.partition_of(keys[i])) << "key " << i;
+  }
+}
+
+TEST(PartitionerBatch, RangeBatchMatchesScalar) {
+  common::Xoshiro256 rng(2);
+  std::vector<std::uint64_t> sample(512);
+  for (auto& k : sample) k = rng.next_below(1 << 16);
+  const auto range = RangePartitioner::from_sample(37, sample);
+  // Sorted-ish input exercises the memoized fast path; random the slow one.
+  std::vector<std::uint64_t> keys(2051);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = (i < 1000) ? i * 13 % (1 << 16) : rng.next_below(1 << 16);
+  }
+  std::vector<std::uint32_t> got(keys.size());
+  range->partition_of_batch(keys.data(), keys.size(), got.data());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(got[i], range->partition_of(keys[i])) << "key " << i;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "engine/engine.h"
 
@@ -127,7 +128,16 @@ INSTANTIATE_TEST_SUITE_P(
         Config{PartitionerKind::kHash, 1, 1, 1, 1},
         Config{PartitionerKind::kRange, 4, 4, 2, 2},
         Config{PartitionerKind::kRange, 16, 5, 5, 2},
-        Config{PartitionerKind::kRange, 9, 33, 2, 4}));
+        Config{PartitionerKind::kRange, 9, 33, 2, 4}),
+    // Names like hash_s4_r4_n2_c2: stable across builds, unlike gtest's
+    // default byte dump of Config (which includes its padding).
+    [](const ::testing::TestParamInfo<Config>& info) {
+      const Config& c = info.param;
+      return std::string(c.kind == PartitionerKind::kHash ? "hash" : "range") +
+             "_s" + std::to_string(c.source_partitions) + "_r" +
+             std::to_string(c.reduce_partitions) + "_n" +
+             std::to_string(c.nodes) + "_c" + std::to_string(c.cores);
+    });
 
 // ---- scheduling knobs must not change results either ----------------------
 
