@@ -8,8 +8,11 @@
 //    pre-§13 per-record code (vector<Record> buckets, unordered_map merges)
 //    and enforce the allocation contract with a global operator-new
 //    counter: the batched paths must allocate at least 4x fewer times than
-//    legacy. The checkpoint enabled-but-idle section then gates the
-//    overhead of an attached checkpoint writer (DESIGN.md §16).
+//    legacy, and a sparse 800x800 shuffle write (300 records per map task)
+//    must make at most 16 allocations per map task, whatever R is — its
+//    legacy column is the replaced one-Partition-per-bucket grid. The
+//    checkpoint enabled-but-idle section then gates the overhead of an
+//    attached checkpoint writer (DESIGN.md §16).
 //    `--json PATH` mirrors the section table into a BENCH_*.json artifact.
 //  * google-benchmark micro-timers for profiling individual primitives.
 //
@@ -36,6 +39,7 @@
 #include "engine/dataplane.h"
 #include "engine/partition.h"
 #include "engine/partitioner.h"
+#include "engine/shuffle.h"
 #include "harness.h"
 #include "obs/event_log.h"
 #include "obs/sinks.h"
@@ -91,6 +95,7 @@ void sum_fn(engine::Record& acc, const engine::Record& next) {
 struct Section {
   std::string name;
   std::size_t records = 0;
+  std::size_t map_tasks = 0;  ///< non-zero: the per-map-task allocation gate
   double legacy_s = 0.0;
   double batched_s = 0.0;
   std::size_t legacy_allocs = 0;
@@ -141,7 +146,7 @@ Section measure(std::string name, std::size_t records, Legacy&& legacy,
 
 /// Shuffle write: legacy = per-record partitioner call + per-record
 /// vector<Record> push (the old Partition storage); batched = single-pass
-/// radix scatter into exactly-reserved arenas.
+/// radix scatter into one exactly-sized row arena plus offsets.
 Section shuffle_write_section(const engine::Partition& data,
                               const engine::Partitioner& part,
                               const std::string& name) {
@@ -156,11 +161,71 @@ Section shuffle_write_section(const engine::Partition& data,
     benchmark::DoNotOptimize(buckets.data());
   };
   auto batched = [&] {
-    std::vector<engine::Partition> buckets(r_count);
-    engine::dataplane::radix_scatter(data, part, buckets);
-    benchmark::DoNotOptimize(buckets.data());
+    engine::ShuffleRow row;
+    engine::dataplane::radix_scatter(data, part, row);
+    benchmark::DoNotOptimize(row.data.size());
   };
   return measure(name, data.size(), legacy, batched);
+}
+
+/// The replaced shuffle layout: one Partition per (map task, reduce
+/// partition), each reserved exactly, then filled in encounter order.
+void grid_scatter(const engine::Partition& in, const engine::Partitioner& part,
+                  std::vector<engine::Partition>& buckets) {
+  const std::size_t n = in.size();
+  const auto& ends = in.raw_ends();
+  std::vector<std::uint32_t> bucket_of(n);
+  part.partition_of_batch(in.raw_keys().data(), n, bucket_of.data());
+  std::vector<std::size_t> recs(buckets.size(), 0);
+  std::vector<std::size_t> vals(buckets.size(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ++recs[bucket_of[i]];
+    vals[bucket_of[i]] += ends[i] - (i == 0 ? 0 : ends[i - 1]);
+  }
+  for (std::size_t r = 0; r < buckets.size(); ++r) {
+    if (recs[r] == 0) continue;
+    buckets[r].reserve(recs[r]);
+    buckets[r].reserve_values(vals[r]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto v = in.values(i);
+    buckets[bucket_of[i]].emplace(in.key(i), v.data(), v.size(), in.aux(i));
+  }
+}
+
+/// Sparse shuffle write, the PageRank shape at P=800: 800 map tasks of 300
+/// records each into 800 hash partitions, so most buckets are empty.
+/// legacy = the bucket grid (four arrays per non-empty bucket); batched =
+/// one row per map task.
+Section sparse_shuffle_write_section() {
+  constexpr std::size_t kMaps = 800;
+  constexpr std::size_t kReduces = 800;
+  constexpr std::size_t kPerTask = 300;
+  std::vector<engine::Partition> inputs;
+  inputs.reserve(kMaps);
+  for (std::size_t m = 0; m < kMaps; ++m) {
+    inputs.push_back(make_records(kPerTask, 1 << 20, 1000 + m));
+  }
+  const engine::HashPartitioner part(kReduces);
+  auto legacy = [&] {
+    std::vector<std::vector<engine::Partition>> grid(kMaps);
+    for (std::size_t m = 0; m < kMaps; ++m) {
+      grid[m].resize(kReduces);
+      grid_scatter(inputs[m], part, grid[m]);
+    }
+    benchmark::DoNotOptimize(grid.data());
+  };
+  auto batched = [&] {
+    std::vector<engine::ShuffleRow> rows(kMaps);
+    for (std::size_t m = 0; m < kMaps; ++m) {
+      engine::dataplane::radix_scatter(inputs[m], part, rows[m]);
+    }
+    benchmark::DoNotOptimize(rows.data());
+  };
+  Section s = measure("shuffle_write_sparse_800x800", kMaps * kPerTask,
+                      legacy, batched);
+  s.map_tasks = kMaps;
+  return s;
 }
 
 /// Reduce-side merge: legacy = unordered_map accumulation + sorted-key
@@ -225,16 +290,18 @@ Section combine_section(const engine::Partition& data,
     benchmark::DoNotOptimize(row.data());
   };
   auto batched = [&] {
-    std::vector<engine::Partition> row(r_count);
+    engine::ShuffleRow row;
     engine::dataplane::combine_scatter(data, part, sum_fn, row);
-    benchmark::DoNotOptimize(row.data());
+    benchmark::DoNotOptimize(row.data.size());
   };
   return measure("map_side_combine", data.size(), legacy, batched);
 }
 
 /// Runs every section, prints the table, and enforces the allocation
-/// contract: the batched paths allocate >= 4x fewer times than legacy.
+/// contract: the batched paths allocate >= 4x fewer times than legacy, and
+/// the sparse shuffle write at most 16 times per map task.
 bool run_dataplane_sections(const std::string& json_path) {
+  constexpr std::size_t kMaxAllocsPerMapTask = 16;
   const std::size_t kRecords = 1 << 16;
   const auto data = make_records(kRecords, 1 << 12);
 
@@ -260,6 +327,7 @@ bool run_dataplane_sections(const std::string& json_path) {
     sections.push_back(
         shuffle_write_section(data, *range, "shuffle_write_range"));
   }
+  sections.push_back(sparse_shuffle_write_section());
   sections.push_back(reduce_merge_section(merge_parts));
   {
     const engine::HashPartitioner hash(100);
@@ -285,6 +353,24 @@ bool run_dataplane_sections(const std::string& json_path) {
                    s.name.c_str(), s.batched_allocs, s.legacy_allocs);
       ok = false;
     }
+    // Row layout contract: a map task's write allocates a bounded number
+    // of times (its row's arrays and offsets), not once per bucket.
+    if (s.map_tasks > 0) {
+      const double per_task = static_cast<double>(s.batched_allocs) /
+                              static_cast<double>(s.map_tasks);
+      std::printf("%s: %.2f allocations per map task (gate <= %zu; bucket "
+                  "grid: %.2f)\n",
+                  s.name.c_str(), per_task, kMaxAllocsPerMapTask,
+                  static_cast<double>(s.legacy_allocs) /
+                      static_cast<double>(s.map_tasks));
+      if (s.batched_allocs > kMaxAllocsPerMapTask * s.map_tasks) {
+        std::fprintf(stderr,
+                     "FAIL: %s allocated %.2f times per map task (limit "
+                     "%zu)\n",
+                     s.name.c_str(), per_task, kMaxAllocsPerMapTask);
+        ok = false;
+      }
+    }
   }
   bench::print_header("micro_engine_ops: batched data plane vs legacy");
   t.print();
@@ -305,7 +391,9 @@ bool run_checkpoint_idle_section() {
 
   // Compute-dominated, payload-light: the fixed WAL/barrier costs are what
   // is being measured, so the job must not checkpoint meaningful data (its
-  // only block file is the final stage's ~320 KB result).
+  // only block file is the final stage's ~320 KB result). Those costs are
+  // about 1.5 ms on a 4-core host; the spin loop makes the job ~0.2 s, so
+  // they sit well inside the 2% bound while run-to-run noise stays small.
   auto make_job = [] {
     return engine::Dataset::source(
                "ckpt-idle-src", 8,
@@ -324,22 +412,27 @@ bool run_checkpoint_idle_section() {
         ->map("ckpt-idle-map", [](const engine::Record& in) {
           engine::Record r = in;
           double x = r.values[0];
-          for (int i = 0; i < 6000; ++i) x = x * 1.0000001 + 1e-9;
+          for (int i = 0; i < 9000; ++i) x = x * 1.0000001 + 1e-9;
           r.values[0] = x;
           return r;
         });
   };
 
+  // One host thread: the job's tasks then run back to back on a single
+  // core, so neither side's time depends on how the OS spreads a pool's
+  // threads over a shared host.
+  engine::EngineOptions opts = bench::vanilla_options();
+  opts.host_threads = 1;
   double base_sim = 0.0;
   double ckpt_sim = 0.0;
   auto base = [&] {
-    engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
+    engine::Engine eng(bench::bench_cluster(), opts);
     const auto r = eng.count(make_job(), "ckpt-idle");
     base_sim = r.sim_time_s;
     benchmark::DoNotOptimize(r.count);
   };
   auto attached = [&] {
-    engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
+    engine::Engine eng(bench::bench_cluster(), opts);
     obs::EventLog log;
     auto writer = std::make_shared<ckpt::CheckpointWriter>(dir);
     log.attach(writer);
@@ -362,25 +455,43 @@ bool run_checkpoint_idle_section() {
     return false;
   }
 
-  // Wall-clock gate. The two variants run as interleaved pairs (so CPU
-  // frequency drift cannot bias one side) and the gate takes the minimum
-  // pairwise overhead: scheduler noise on a CI runner perturbs individual
-  // pairs in both directions, but a real regression shifts every pair, so
-  // the minimum is the noise-robust estimate of the true fixed cost. Stops
-  // early once the contract holds.
-  double overhead = 1e300;
-  bool ok = false;
-  for (int i = 0; i < 16; ++i) {
-    const double base_s = best_seconds(base, 1);
-    const double ckpt_s = best_seconds(attached, 1);
-    overhead =
-        std::min(overhead, ckpt_s / std::max(base_s, 1e-12) - 1.0);
-    ok = overhead <= 0.02;
-    if (i >= 3 && ok) break;
+  // Wall-clock gate: a fixed number of pairs, no early exit. Each pair
+  // times both variants kRounds times, interleaved and alternating which
+  // runs first, and keeps each variant's fastest run: the same filter on
+  // both sides, so a descheduled run on a shared host drops out without
+  // favouring either. The gate reads the median pairwise overhead: a
+  // median is unbiased where a minimum over pairs is biased low (one lucky
+  // pair would pass any real overhead), and robust where a mean is not.
+  constexpr int kPairs = 15;
+  constexpr int kRounds = 3;
+  std::vector<double> ratios;
+  std::vector<double> base_times;
+  ratios.reserve(kPairs);
+  base_times.reserve(kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    double base_s = 1e300;
+    double ckpt_s = 1e300;
+    for (int round = 0; round < kRounds; ++round) {
+      if ((i + round) % 2 == 0) {
+        base_s = std::min(base_s, best_seconds(base, 1));
+        ckpt_s = std::min(ckpt_s, best_seconds(attached, 1));
+      } else {
+        ckpt_s = std::min(ckpt_s, best_seconds(attached, 1));
+        base_s = std::min(base_s, best_seconds(base, 1));
+      }
+    }
+    ratios.push_back(ckpt_s / std::max(base_s, 1e-12) - 1.0);
+    base_times.push_back(base_s);
   }
-  std::printf("checkpoint enabled-but-idle: wall overhead %+.2f%% "
-              "(target <= 2%%), simulated timeline identical\n",
-              100.0 * overhead);
+  std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
+  std::nth_element(base_times.begin(), base_times.begin() + kPairs / 2,
+                   base_times.end());
+  const double overhead = ratios[kPairs / 2];
+  const bool ok = overhead <= 0.02;
+  std::printf("checkpoint enabled-but-idle: median wall overhead %+.2f%% "
+              "over %d pairs on a %.0f ms job (target <= 2%%), simulated "
+              "timeline identical\n",
+              100.0 * overhead, kPairs, 1e3 * base_times[kPairs / 2]);
   if (!ok) {
     std::fprintf(stderr,
                  "FAIL: idle checkpointing overhead %.2f%% exceeds 2%%\n",
@@ -429,9 +540,9 @@ void BM_RadixScatter(benchmark::State& state) {
   const engine::HashPartitioner part(r_count);
   const auto data = make_records(8192, 1u << 16);
   for (auto _ : state) {
-    std::vector<engine::Partition> buckets(r_count);
-    engine::dataplane::radix_scatter(data, part, buckets);
-    benchmark::DoNotOptimize(buckets.data());
+    engine::ShuffleRow row;
+    engine::dataplane::radix_scatter(data, part, row);
+    benchmark::DoNotOptimize(row.data.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size()));
@@ -443,9 +554,9 @@ void BM_CombineScatter(benchmark::State& state) {
   const engine::HashPartitioner part(100);
   const auto data = make_records(8192, distinct);
   for (auto _ : state) {
-    std::vector<engine::Partition> buckets(part.num_partitions());
-    engine::dataplane::combine_scatter(data, part, sum_fn, buckets);
-    benchmark::DoNotOptimize(buckets.data());
+    engine::ShuffleRow row;
+    engine::dataplane::combine_scatter(data, part, sum_fn, row);
+    benchmark::DoNotOptimize(row.data.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size()));

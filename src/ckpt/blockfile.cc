@@ -15,7 +15,9 @@ namespace chopper::ckpt {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'H', 'O', 'P', 'B', 'L', 'K', '1'};
-constexpr std::uint32_t kVersion = 1;
+/// Version 2: a shuffle block stores one row (arena + offsets) per map task;
+/// version 1 stored an M x R bucket grid and is refused (its job reruns).
+constexpr std::uint32_t kVersion = 2;
 
 enum class BlockKind : std::uint32_t { kShuffle = 1, kCache = 2, kResult = 3 };
 
@@ -143,6 +145,29 @@ engine::Partition take_partition(Cursor& c) {
                                      bytes);
 }
 
+/// A row's offsets must match what the writers produce: none for an empty
+/// or pass-through row, otherwise R+1 ascending record and byte offsets
+/// from 0 to the arena's size and bytes.
+bool valid_offsets(const engine::ShuffleRow& row, std::size_t r,
+                   bool passthrough) {
+  if (passthrough || row.data.empty()) {
+    return row.rec_off.empty() && row.byte_off.empty();
+  }
+  if (row.rec_off.size() != r + 1 || row.byte_off.size() != r + 1 ||
+      row.rec_off.front() != 0 || row.byte_off.front() != 0 ||
+      row.rec_off.back() != row.data.size() ||
+      row.byte_off.back() != row.data.bytes()) {
+    return false;
+  }
+  for (std::size_t i = 1; i <= r; ++i) {
+    if (row.rec_off[i] < row.rec_off[i - 1] ||
+        row.byte_off[i] < row.byte_off[i - 1]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // -- framing ----------------------------------------------------------------
 
 bool write_block(const std::string& path, BlockKind kind,
@@ -239,11 +264,11 @@ bool write_shuffle_block(const std::string& path, std::size_t consumer,
   put_pod_vec(p, so.lost);
   put_pod_vec(p, so.on_disk);
   put_pod_vec(p, so.row_sum);
-  put_u64(p, so.buckets.size());
-  put_u64(p, so.buckets.empty() ? 0 : so.buckets[0].size());
-  for (const auto& row : so.buckets) {
-    for (const auto& b : row) put_partition(p, b);
-  }
+  put_vec(p, so.rows, [](std::string& out, const engine::ShuffleRow& row) {
+    put_partition(out, row.data);
+    put_pod_vec(out, row.rec_off);
+    put_pod_vec(out, row.byte_off);
+  });
   return write_block(path, BlockKind::kShuffle, p, sync);
 }
 
@@ -265,14 +290,19 @@ std::optional<engine::RestoredShuffle> read_shuffle_block(
   rs.so.on_disk = c.pod_vec<char>();
   rs.so.row_sum = c.pod_vec<std::uint64_t>();
   const std::uint64_t m = c.u64();
-  const std::uint64_t r = c.u64();
-  if (!c.ok || m != rs.so.num_map_tasks || m != rs.so.map_node.size()) {
+  if (!c.ok || rs.so.partitioner == nullptr || m != rs.so.num_map_tasks ||
+      m != rs.so.map_node.size()) {
     return std::nullopt;
   }
-  rs.so.buckets.resize(static_cast<std::size_t>(m));
-  for (auto& row : rs.so.buckets) {
-    row.resize(static_cast<std::size_t>(r));
-    for (auto& b : row) b = take_partition(c);
+  const std::size_t r = rs.so.partitioner->num_partitions();
+  rs.so.rows.resize(static_cast<std::size_t>(m));
+  for (auto& row : rs.so.rows) {
+    row.data = take_partition(c);
+    row.rec_off = c.pod_vec<std::size_t>();
+    row.byte_off = c.pod_vec<std::uint64_t>();
+    if (!c.ok || !valid_offsets(row, r, rs.so.passthrough)) {
+      return std::nullopt;
+    }
   }
   if (!c.ok || c.pos != payload->size()) return std::nullopt;
   return rs;

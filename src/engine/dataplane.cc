@@ -109,13 +109,21 @@ Partition kway_reduce_sorted(const std::vector<Partition>& parts,
   return out;
 }
 
-// -- map-side combine core ---------------------------------------------------
+// -- shuffle write core -------------------------------------------------------
 
-/// Per-thread combine scratch. Engine task threads run combine_scatter
-/// concurrently, and each gets its own scratch, so combine_bucket is
-/// re-entrant without locks; every vector/Record/table settles to its
-/// high-water capacity, so steady-state combine does no allocation.
-struct CombineScratch {
+/// Per-thread scatter and combine scratch. Engine task threads write
+/// shuffle rows concurrently, and each gets its own scratch, so the
+/// primitives are re-entrant without locks; every vector/Record/table
+/// settles to its high-water capacity, so a steady-state shuffle write
+/// allocates only the row it returns.
+struct WriteScratch {
+  std::vector<std::uint32_t> bucket_of;  ///< record -> bucket
+  std::vector<std::size_t> rec_cur;      ///< per-bucket record cursor
+  std::vector<std::size_t> val_cur;      ///< per-bucket payload cursor
+  // Map-side combine only.
+  std::vector<KeyIdx> runs;       ///< bucket-major (key, index) runs
+  /// Bucket r's run is runs[run_off[r], run_off[r + 1]).
+  std::vector<std::size_t> run_off;
   CombineTable table;
   std::vector<Record> accs;       ///< gid -> accumulator
   std::vector<KeyIdx> entries;    ///< (key, gid) table emission view
@@ -123,16 +131,26 @@ struct CombineScratch {
   std::vector<KeyIdx> sort_scratch;
   Record next;
   Record oacc;
+  Partition out;  ///< combined records, copied exactly-sized into the row
 };
 
-CombineScratch& combine_scratch() {
-  thread_local CombineScratch s;
+WriteScratch& write_scratch() {
+  thread_local WriteScratch s;
   return s;
+}
+
+/// Bucket every record of `in` once (one batched virtual call) into
+/// s.bucket_of.
+void assign_buckets(const Partition& in, const Partitioner& part,
+                    WriteScratch& s) {
+  s.bucket_of.resize(in.size());
+  part.partition_of_batch(in.raw_keys().data(), in.size(),
+                          s.bucket_of.data());
 }
 
 /// Combine one bucket's (key, index) run — `run[i].second` indexes `in`,
 /// run order is the bucket's global encounter order — appending one record
-/// per distinct key to `out` in ascending key order.
+/// per distinct key to `s.out` in ascending key order.
 ///
 /// Keys live in exactly one of two structures: the fixed-size CombineTable
 /// (first kMaxLoad fraction of distinct keys) or the overflow run (every
@@ -144,8 +162,8 @@ CombineScratch& combine_scratch() {
 /// (the two key sets are disjoint) emits ascending by key — bit-identical
 /// output no matter how many keys spilled.
 void combine_bucket(const Partition& in, const ReduceFn& fn,
-                    const KeyIdx* run, std::size_t len, Partition& out) {
-  CombineScratch& s = combine_scratch();
+                    const KeyIdx* run, std::size_t len, WriteScratch& s) {
+  Partition& out = s.out;
   s.table.reset(len);
   s.entries.clear();
   s.ovf.clear();
@@ -171,12 +189,6 @@ void combine_bucket(const Partition& in, const ReduceFn& fn,
   radix_sort_keys(s.entries.data(), s.entries.size(), s.sort_scratch);
   radix_sort_keys(s.ovf.data(), s.ovf.size(), s.sort_scratch);
 
-  std::size_t distinct = s.entries.size();
-  for (std::size_t i = 0; i < s.ovf.size(); ++i) {
-    if (i == 0 || s.ovf[i].first != s.ovf[i - 1].first) ++distinct;
-  }
-  out.reserve(out.size() + distinct);
-
   std::size_t e = 0;
   std::size_t o = 0;
   while (e < s.entries.size() || o < s.ovf.size()) {
@@ -201,63 +213,99 @@ void combine_bucket(const Partition& in, const ReduceFn& fn,
 }  // namespace
 
 void radix_scatter(const Partition& in, const Partitioner& part,
-                   std::span<Partition> buckets) {
+                   ShuffleRow& row) {
+  row = ShuffleRow();
   const std::size_t n = in.size();
   if (n == 0) return;
-  const std::size_t num_buckets = buckets.size();
+  const std::size_t num_buckets = part.num_partitions();
   const auto& keys = in.raw_keys();
   const auto& auxs = in.raw_aux();
   const auto& ends = in.raw_ends();
+  const auto& vals = in.raw_values();
+  WriteScratch& s = write_scratch();
+  assign_buckets(in, part, s);
 
-  // Bucket each record once (one batched virtual call), histogram
-  // record/payload counts, reserve each destination exactly, then scatter
-  // into exactly-sized arenas.
-  std::vector<std::uint32_t> bucket_of(n);
-  part.partition_of_batch(keys.data(), n, bucket_of.data());
-  std::vector<std::size_t> recs(num_buckets, 0);
-  std::vector<std::size_t> vals(num_buckets, 0);
+  // Counting sort: histogram records, payload doubles and bytes per bucket
+  // (shifted by one), then prefix-sum into the row's offsets.
+  row.rec_off.assign(num_buckets + 1, 0);
+  row.byte_off.assign(num_buckets + 1, 0);
+  s.val_cur.assign(num_buckets + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    ++recs[bucket_of[i]];
-    vals[bucket_of[i]] += ends[i] - (i == 0 ? 0 : ends[i - 1]);
+    const std::size_t b = s.bucket_of[i] + 1;
+    const std::size_t nv = ends[i] - (i == 0 ? 0 : ends[i - 1]);
+    ++row.rec_off[b];
+    s.val_cur[b] += nv;
+    row.byte_off[b] += record_bytes(nv, auxs[i]);
   }
   for (std::size_t r = 0; r < num_buckets; ++r) {
-    if (recs[r] == 0) continue;
-    buckets[r].reserve(buckets[r].size() + recs[r]);
-    buckets[r].reserve_values(buckets[r].values_size() + vals[r]);
+    row.rec_off[r + 1] += row.rec_off[r];
+    row.byte_off[r + 1] += row.byte_off[r];
+    s.val_cur[r + 1] += s.val_cur[r];
   }
+
+  // Scatter into one exactly-sized arena, bucket after bucket.
+  s.rec_cur.assign(row.rec_off.begin(), row.rec_off.end() - 1);
+  std::vector<std::uint64_t> out_keys(n);
+  std::vector<std::uint32_t> out_aux(n);
+  std::vector<std::size_t> out_ends(n);
+  std::vector<double> out_vals(vals.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const double> v = in.values(i);
-    buckets[bucket_of[i]].emplace(keys[i], v.data(), v.size(), auxs[i]);
+    const std::uint32_t b = s.bucket_of[i];
+    const std::size_t pos = s.rec_cur[b]++;
+    const std::size_t v0 = i == 0 ? 0 : ends[i - 1];
+    std::size_t& vpos = s.val_cur[b];
+    out_keys[pos] = keys[i];
+    out_aux[pos] = auxs[i];
+    std::copy(vals.begin() + static_cast<std::ptrdiff_t>(v0),
+              vals.begin() + static_cast<std::ptrdiff_t>(ends[i]),
+              out_vals.begin() + static_cast<std::ptrdiff_t>(vpos));
+    vpos += ends[i] - v0;
+    out_ends[pos] = vpos;
   }
+  row.data = Partition::from_raw(std::move(out_keys), std::move(out_aux),
+                                 std::move(out_ends), std::move(out_vals),
+                                 in.bytes());
 }
 
 void combine_scatter(const Partition& in, const Partitioner& part,
-                     const ReduceFn& fn, std::span<Partition> buckets) {
+                     const ReduceFn& fn, ShuffleRow& row) {
+  row = ShuffleRow();
   const std::size_t n = in.size();
   if (n == 0) return;
-  const std::size_t num_buckets = buckets.size();
+  const std::size_t num_buckets = part.num_partitions();
   const auto& keys = in.raw_keys();
+  WriteScratch& s = write_scratch();
+  assign_buckets(in, part, s);
 
-  // Bucket assignment + per-bucket counts; offs[r] bounds bucket r's run.
-  std::vector<std::uint32_t> bucket_of(n);
-  part.partition_of_batch(keys.data(), n, bucket_of.data());
-  std::vector<std::size_t> offs(num_buckets + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++offs[bucket_of[i] + 1];
-  for (std::size_t r = 0; r < num_buckets; ++r) offs[r + 1] += offs[r];
+  // Per-bucket counts, prefix-summed into each bucket's run bounds.
+  s.run_off.assign(num_buckets + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++s.run_off[s.bucket_of[i] + 1];
+  for (std::size_t r = 0; r < num_buckets; ++r) {
+    s.run_off[r + 1] += s.run_off[r];
+  }
 
   // Stable counting sort into bucket-major (key, index) runs: each run is
   // its bucket's encounter order.
-  std::vector<std::size_t> cur(offs.begin(), offs.end() - 1);
-  std::vector<KeyIdx> ks(n);
+  s.rec_cur.assign(s.run_off.begin(), s.run_off.end() - 1);
+  s.runs.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ks[cur[bucket_of[i]]++] = {keys[i], i};
+    s.runs[s.rec_cur[s.bucket_of[i]]++] = {keys[i], i};
   }
 
+  // Combined records never outnumber the input, so after this reserve the
+  // scratch arena does not reallocate while buckets append to it.
+  s.out.clear();
+  s.out.reserve(n);
+  s.out.reserve_values(in.values_size());
+  row.rec_off.assign(num_buckets + 1, 0);
+  row.byte_off.assign(num_buckets + 1, 0);
   for (std::size_t r = 0; r < num_buckets; ++r) {
-    const std::size_t len = offs[r + 1] - offs[r];
-    if (len == 0) continue;
-    combine_bucket(in, fn, ks.data() + offs[r], len, buckets[r]);
+    const std::size_t len = s.run_off[r + 1] - s.run_off[r];
+    if (len > 0) combine_bucket(in, fn, s.runs.data() + s.run_off[r], len, s);
+    row.rec_off[r + 1] = s.out.size();
+    row.byte_off[r + 1] = s.out.bytes();
   }
+  row.data = s.out;  // exactly-sized copy; the scratch keeps its capacity
 }
 
 Partition merge_concat(std::vector<Partition>&& parts) {

@@ -17,32 +17,35 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "engine/dataset.h"
 #include "engine/partition.h"
 #include "engine/partitioner.h"
+#include "engine/shuffle.h"
 
 namespace chopper::engine::dataplane {
 
 /// Single-pass radix shuffle write: compute every record's bucket once,
-/// histogram record/payload counts, reserve each destination exactly, then
-/// scatter. Appends to `buckets` preserving the input's encounter order
-/// within each bucket (bit-identical to per-record push).
+/// histogram record/payload/byte counts (a counting sort whose prefix sums
+/// are the row's offsets), then scatter into one exactly-sized arena.
+/// Replaces `row` with `in` grouped by bucket; each bucket keeps the
+/// input's encounter order (bit-identical to per-record push into R
+/// separate partitions). An empty input leaves an empty row.
 void radix_scatter(const Partition& in, const Partitioner& part,
-                   std::span<Partition> buckets);
+                   ShuffleRow& row);
 
 /// Map-side combine + scatter for reduceByKey: pre-merges `in` per (bucket,
-/// key) with `fn` before anything reaches the shuffle, emitting each
-/// bucket's combined records in ascending key order. Accumulators
-/// initialize from the key's first encounter and `fn` applies in encounter
-/// order — the same sequence (and therefore the same floats) as the
-/// historical unordered_map implementation. Each bucket combines through a
-/// fixed-size CombineTable (combine_table.h); keys past its load bound
-/// spill to an overflow run that folds after a stable sort.
+/// key) with `fn` before anything reaches the shuffle, writing each
+/// bucket's combined records in ascending key order, bucket after bucket,
+/// into `row` (replaced). Accumulators initialize from the key's first
+/// encounter and `fn` applies in encounter order — the same sequence (and
+/// therefore the same floats) as the historical unordered_map
+/// implementation. Each bucket combines through a fixed-size CombineTable
+/// (combine_table.h); keys past its load bound spill to an overflow run
+/// that folds after a stable sort.
 void combine_scatter(const Partition& in, const Partitioner& part,
-                     const ReduceFn& fn, std::span<Partition> buckets);
+                     const ReduceFn& fn, ShuffleRow& row);
 
 // -- reduce-side wide merges (start of the consuming stage) ------------------
 

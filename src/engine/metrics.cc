@@ -27,15 +27,15 @@ void ResourceTimeline::ensure(double t_end) const {
 }
 
 namespace {
-/// Spread `amount` over [start, end) into per-second buckets.
-void spread(std::vector<double>& buckets, double start, double end,
+/// Spread `amount` over [start, end) into per-second bins.
+void spread(std::vector<double>& per_second, double start, double end,
             double amount) {
   if (end <= start || amount <= 0.0) return;
   const double rate = amount / (end - start);
   auto s = static_cast<std::size_t>(start);
   while (start < end) {
     const double next = std::min(end, static_cast<double>(s + 1));
-    buckets[s] += rate * (next - start);
+    per_second[s] += rate * (next - start);
     start = next;
     ++s;
   }

@@ -39,7 +39,6 @@ std::vector<Record> Partition::to_records() const {
 }
 
 void Partition::append_records_to(std::vector<Record>& out) const {
-  out.reserve(out.size() + size());
   for (std::size_t i = 0; i < size(); ++i) {
     const std::size_t b = begin_of(i);
     out.push_back(Record{
@@ -89,6 +88,31 @@ void Partition::absorb(Partition&& other) {
   for (const std::size_t e : other.ends_) ends_.push_back(e + off);
   bytes_ += other.bytes_;
   other.clear();
+}
+
+void Partition::append_range(const Partition& src, std::size_t first,
+                             std::size_t last) {
+  if (first >= last) return;
+  const auto b = static_cast<std::ptrdiff_t>(first);
+  const auto e = static_cast<std::ptrdiff_t>(last);
+  const std::size_t v0 = src.begin_of(first);
+  const std::size_t v1 = src.ends_[last - 1];
+  const std::size_t off = values_.size();
+  keys_.insert(keys_.end(), src.keys_.begin() + b, src.keys_.begin() + e);
+  aux_.insert(aux_.end(), src.aux_.begin() + b, src.aux_.begin() + e);
+  values_.insert(values_.end(),
+                 src.values_.begin() + static_cast<std::ptrdiff_t>(v0),
+                 src.values_.begin() + static_cast<std::ptrdiff_t>(v1));
+  ends_.reserve(ends_.size() + (last - first));
+  std::uint64_t aux_sum = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    ends_.push_back(src.ends_[i] - v0 + off);
+    aux_sum += src.aux_[i];
+  }
+  // record_bytes summed over the range: it is linear in the payload count
+  // and the opaque bytes.
+  bytes_ += (kRecordFramingBytes + 8) * (last - first) + 8 * (v1 - v0) +
+            aux_sum;
 }
 
 }  // namespace chopper::engine

@@ -65,6 +65,12 @@ class Partition {
     const std::size_t b = begin_of(i);
     return {values_.data() + b, ends_[i] - b};
   }
+  /// Payload-pool offset where record `i` starts (`i == size()`: the pool's
+  /// end), so records [first, last) hold value_offset(last) -
+  /// value_offset(first) payload doubles.
+  std::size_t value_offset(std::size_t i) const noexcept {
+    return begin_of(i);
+  }
   RecordView view(std::size_t i) const noexcept {
     return RecordView{keys_[i], values(i), aux_[i]};
   }
@@ -92,6 +98,9 @@ class Partition {
 
   /// Owning copies of every record (allocates; result/boundary paths only).
   std::vector<Record> to_records() const;
+  /// Append owning copies to `out`. Does not reserve: a caller appending
+  /// many partitions reserves their total once (an exact reserve per call
+  /// would reallocate, and copy everything appended so far, every time).
   void append_records_to(std::vector<Record>& out) const;
 
   /// Stable sort by key (equal keys keep encounter order).
@@ -111,6 +120,10 @@ class Partition {
 
   /// Append all records of `other` (bulk array splice; empties `other`).
   void absorb(Partition&& other);
+
+  /// Append copies of `src`'s records [first, last) (bulk array splice).
+  void append_range(const Partition& src, std::size_t first,
+                    std::size_t last);
 
   void clear() {
     keys_.clear();

@@ -24,10 +24,9 @@
 // inputs by replaying lineage for exactly the lost pieces: lost shuffle
 // rows are recomputed by re-running the producer's pipeline tasks on
 // surviving nodes, lost cached blocks are regenerated from their narrow
-// chain (or a full sub-job rebuild for wide lineage). Shuffle reads copy
-// instead of consume in this mode and map outputs are retained until job
-// end so replay always has data to read. The non-fault-tolerant path is
-// byte-for-byte the classic one.
+// chain (or a full sub-job rebuild for wide lineage). Map outputs are
+// retained until job end in this mode so replay always has data to read.
+// The non-fault-tolerant path is byte-for-byte the classic one.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -159,6 +158,16 @@ bool is_narrow_kind(OpKind op) {
 /// this file — Partition is move-only in spirit).
 Partition copy_partition(const Partition& in) { return in; }
 
+/// Append owning copies of every record of `parts` to `out`, in partition
+/// order, reserving the total once.
+void append_all_records(const std::vector<Partition>& parts,
+                        std::vector<Record>& out) {
+  std::size_t n = out.size();
+  for (const auto& p : parts) n += p.size();
+  out.reserve(n);
+  for (const auto& p : parts) p.append_records_to(out);
+}
+
 /// Evenly-strided deterministic key sample from materialized output.
 std::vector<std::uint64_t> sample_keys(const std::vector<Partition>& parts,
                                        std::size_t per_partition = 32) {
@@ -195,7 +204,7 @@ struct Engine::JobContext {
     /// producer stage index -> shuffle id written for this stage to read
     std::unordered_map<std::size_t, std::size_t> shuffle_from_producer;
     /// Shuffles this stage wrote, by consumer stage index — the hook lineage
-    /// replay uses to rewrite lost bucket rows after a node failure.
+    /// replay uses to rewrite lost rows after a node failure.
     struct Written {
       std::size_t shuffle_id = 0;
       std::size_t consumer = 0;
@@ -373,8 +382,8 @@ class JobRunner {
   std::size_t adopt_restored();
   Partition read_stage_input(std::size_t s, std::size_t p, std::size_t dst,
                              const CachedDataset* cached,
-                             const std::vector<ShuffleOutput*>& parents,
-                             bool consume, TaskWork& tw);
+                             const std::vector<const ShuffleOutput*>& parents,
+                             TaskWork& tw);
   double price_task(const TaskWork& tw, double extra_units, std::size_t n,
                     double fetch_share, double* fetch_out, double* compute_out,
                     double* spill_out = nullptr) const;
@@ -455,9 +464,9 @@ class JobRunner {
   const bool flaky_;    ///< transient fetch-failure injection active
   const bool corrupt_;  ///< corruption schedule armed
   const bool integrity_;  ///< record + verify block checksums
-  /// Retained-data mode: shuffle reads copy instead of consume and map
-  /// outputs live until job end. Any configuration that can retry a stage
-  /// attempt (node failures, enforced memory, OOM injection) needs it.
+  /// Retained-data mode: map outputs live until job end. Any configuration
+  /// that can retry a stage attempt (node failures, enforced memory, OOM
+  /// injection) needs it.
   const bool retain_;
   JobMetrics job_metrics_;
 };
@@ -579,7 +588,7 @@ std::size_t JobRunner::adopt_restored() {
     if (sr.shuffles.size() != plan.consumers.size()) return 0;
     for (std::size_t ci = 0; ci < sr.shuffles.size(); ++ci) {
       if (sr.shuffles[ci].consumer != plan.consumers[ci]) return 0;
-      if (sr.shuffles[ci].so.buckets.size() != row.tasks.size()) return 0;
+      if (sr.shuffles[ci].so.rows.size() != row.tasks.size()) return 0;
     }
     // Cache commits must line up with the commit order execute_attempt
     // would produce: anchor first (unless the stage reads it), then narrow
@@ -726,9 +735,7 @@ std::size_t JobRunner::adopt_restored() {
     // like commit_attempt does.
     if (plan.is_result && sr.has_result) {
       if (ctx_.collect_records) {
-        for (const auto& part : sr.result_parts) {
-          part.append_records_to(ctx_.result.records);
-        }
+        append_all_records(sr.result_parts, ctx_.result.records);
       }
       for (const auto& tm : row.tasks) ctx_.result.count += tm.records_out;
       for (const auto& part : sr.result_parts) restored_bytes += part.bytes();
@@ -1165,11 +1172,9 @@ void JobRunner::run_stage(std::size_t s) {
   eng_.metrics_.add_stage(std::move(sm));
 }
 
-Partition JobRunner::read_stage_input(std::size_t s, std::size_t p,
-                                      std::size_t dst,
-                                      const CachedDataset* cached,
-                                      const std::vector<ShuffleOutput*>& parents,
-                                      bool consume, TaskWork& tw) {
+Partition JobRunner::read_stage_input(
+    std::size_t s, std::size_t p, std::size_t dst, const CachedDataset* cached,
+    const std::vector<const ShuffleOutput*>& parents, TaskWork& tw) {
   const StagePlan& plan = ctx_.plan.stages[s];
   const auto& rt = ctx_.rt[s];
   Partition part;
@@ -1193,11 +1198,29 @@ Partition JobRunner::read_stage_input(std::size_t s, std::size_t p,
     case StageInputKind::kShuffle: {
       std::vector<Partition> sides;
       sides.reserve(parents.size());
-      for (ShuffleOutput* so : parents) {
+      for (const ShuffleOutput* so : parents) {
+        // Bucket p of every map row, in map order. A pass-through reduce
+        // task reads only row p: every other row holds nothing for it.
+        std::size_t m_begin = 0;
+        std::size_t m_end = so->num_map_tasks;
+        if (so->passthrough) {
+          m_begin = std::min(p, m_end);
+          m_end = std::min(p + 1, m_end);
+        }
+        std::size_t recs = 0;
+        std::size_t vals = 0;
+        for (std::size_t m = m_begin; m < m_end; ++m) {
+          const BucketSpan b = so->bucket(m, p);
+          const Partition& data = so->rows[m].data;
+          recs += b.last - b.first;
+          vals += data.value_offset(b.last) - data.value_offset(b.first);
+        }
         Partition side;
-        for (std::size_t m = 0; m < so->num_map_tasks; ++m) {
-          Partition& bucket = so->buckets[m][p];
-          const std::uint64_t b = bucket.bytes();
+        side.reserve(recs);
+        side.reserve_values(vals);
+        for (std::size_t m = m_begin; m < m_end; ++m) {
+          const BucketSpan bucket = so->bucket(m, p);
+          const std::uint64_t b = bucket.bytes;
           if (so->passthrough || so->map_node[m] == dst) {
             tw.local_fetch_bytes += b;
             tw.shuffle_read_local += b;
@@ -1209,13 +1232,9 @@ Partition JobRunner::read_stage_input(std::size_t s, std::size_t p,
           // A spilled row is served from the writer's disk tier: the read
           // pays disk bandwidth on top of the local/remote transfer.
           if (b > 0 && so->row_on_disk(m)) tw.disk_read_bytes += b;
-          if (consume) {
-            side.absorb(std::move(bucket));
-          } else {
-            // Fault-tolerant mode: leave the map output in place so lineage
-            // replay (and attempt retries) can read it again.
-            side.absorb(copy_partition(bucket));
-          }
+          // The map output stays in place, so lineage replay and attempt
+          // retries can read it again.
+          side.append_range(so->rows[m].data, bucket.first, bucket.last);
         }
         tw.records_in += side.size();
         tw.bytes_in += side.bytes();
@@ -1314,30 +1333,44 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
           resolve_scheme(ctx_, s, provider, eng_.options_.default_parallelism)
               .num_partitions;
       break;
-    case StageInputKind::kCache:
+    case StageInputKind::kCache: {
+      // Guard: a concurrent job may be healing this dataset's evicted
+      // blocks; the lock also publishes those heals to our task reads.
+      const auto incomplete = [this](const BlockManager::Pin& pin) {
+        auto g = eng_.block_manager_.guard();
+        return pin && !pin->complete();
+      };
       // Pin: the dataset must survive (and stay eviction-proof) for the
       // whole attempt — concurrent jobs or the storage budget may otherwise
       // free partitions mid-read.
       a.cache_pin = eng_.block_manager_.pin(plan.anchor->id());
+      if (retain_ && incomplete(a.cache_pin)) {
+        // Between run_stage's heal (whose pin it dropped on return) and the
+        // pin above, another job's budget scan may have evicted the freshly
+        // healed blocks. Heal again under this pin: a pinned dataset is
+        // eviction-proof, so the narrow-chain heal sticks. The wholesale
+        // rebuild re-puts the dataset as a new object, so pin that one.
+        recover_cached_blocks(plan.anchor, sm);
+        a.cache_pin = eng_.block_manager_.pin(plan.anchor->id());
+        if (incomplete(a.cache_pin)) {
+          // The heal could not keep the blocks resident: the dataset does
+          // not fit the storage budget even freshly healed.
+          throw TaskOomError("cached dataset '" + plan.anchor->label() +
+                             "' cannot be kept resident under the storage "
+                             "budget");
+        }
+      }
       a.cached = a.cache_pin.get();
       if (a.cached == nullptr) {
         throw std::logic_error("run_job: cache anchor not materialized: " +
                                plan.anchor->label());
       }
       {
-        // Guard: a concurrent job may be healing this dataset's evicted
-        // blocks; the lock also publishes those heals to our task reads.
         auto g = eng_.block_manager_.guard();
-        if (retain_ && !a.cached->complete()) {
-          // Recovery just ran and could not keep the blocks resident: the
-          // dataset does not fit the storage budget even freshly healed.
-          throw TaskOomError("cached dataset '" + plan.anchor->label() +
-                             "' cannot be kept resident under the storage "
-                             "budget");
-        }
         rt.num_tasks = a.cached->partitions.size();
       }
       break;
+    }
     case StageInputKind::kShuffle:
       // The partitioner was built when the first producer wrote; producers
       // precede us in topological order.
@@ -1373,9 +1406,9 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     a.cache_snapshots[ds].resize(rt.num_tasks);
   }
 
-  // Gather parent shuffle outputs (non-owning pointers; bucket columns are
-  // disjoint per task, so tasks can move/copy them out without locking).
-  std::vector<ShuffleOutput*> parent_shuffles;
+  // Gather parent shuffle outputs (non-owning pointers; tasks only read
+  // them, so they need no locking).
+  std::vector<const ShuffleOutput*> parent_shuffles;
   if (plan.input == StageInputKind::kShuffle) {
     for (const std::size_t parent : plan.parent_stages) {
       const auto it = rt.shuffle_from_producer.find(parent);
@@ -1383,14 +1416,14 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
         throw std::logic_error("run_job: missing parent shuffle for " +
                                plan.name);
       }
-      parent_shuffles.push_back(&eng_.shuffles_.get_mutable(it->second));
+      parent_shuffles.push_back(&eng_.shuffles_.get(it->second));
     }
   }
 
   common::parallel_for(*eng_.pool_, rt.num_tasks, [&](std::size_t p) {
     TaskWork& tw = a.work[p];
-    Partition part = read_stage_input(s, p, rt.task_node[p], a.cached,
-                                      parent_shuffles, /*consume=*/!retain_, tw);
+    Partition part =
+        read_stage_input(s, p, rt.task_node[p], a.cached, parent_shuffles, tw);
 
     // Cache snapshot at the anchor point (before narrow ops).
     if (auto it = a.cache_snapshots.find(plan.anchor);
@@ -1474,7 +1507,6 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
       }
     }
     const auto& target = crt.partitioner;
-    const std::size_t r_count = target->num_partitions();
     const bool last_consumer = ci + 1 == plan.consumers.size();
     const bool may_move = last_consumer && !keep_output;
 
@@ -1484,8 +1516,7 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     so.partitioner = target;
     so.num_map_tasks = rt.num_tasks;
     so.map_node = rt.task_node;
-    so.buckets.resize(rt.num_tasks);
-    for (auto& row : so.buckets) row.resize(r_count);
+    so.rows.resize(rt.num_tasks);
 
     const bool passthrough =
         rt.output_partitioner && rt.output_partitioner->equals(*target);
@@ -1495,46 +1526,45 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
                          cplan.anchor->op() == OpKind::kReduceByKey &&
                          static_cast<bool>(cplan.anchor->reduce_fn());
 
+    // Each map task writes its own row and counts its non-empty buckets.
+    std::vector<std::size_t> nonempty(rt.num_tasks, 0);
     common::parallel_for(*eng_.pool_, rt.num_tasks, [&](std::size_t m) {
-      auto& row = so.buckets[m];
+      ShuffleRow& row = so.rows[m];
       Partition& out = rt.output[m];
       if (passthrough) {
-        // Already partitioned correctly: bucket r == m, no repartitioning
-        // work, no framing overhead, reads will be node-local.
-        if (may_move) {
-          row[m] = std::move(out);
-        } else {
-          row[m] = copy_partition(out);
-        }
-        return;
-      }
-      a.extra_work[m] += static_cast<double>(out.size()) *
-                         (combine ? kCombineWork : kBucketWork);
-      if (combine) {
-        // Map-side combine: pre-merge per (bucket, key) before the shuffle.
-        dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(),
-                                   row);
+        // Already partitioned correctly: the row is the output itself, all
+        // in bucket m — no repartitioning work, no framing overhead, reads
+        // will be node-local.
+        row.data = may_move ? std::move(out) : copy_partition(out);
       } else {
-        dataplane::radix_scatter(out, *target, row);
-        if (may_move) {
-          out = Partition();  // release source records
+        a.extra_work[m] += static_cast<double>(out.size()) *
+                           (combine ? kCombineWork : kBucketWork);
+        if (combine) {
+          // Map-side combine: pre-merge per (bucket, key) before the
+          // shuffle.
+          dataplane::combine_scatter(out, *target, cplan.anchor->reduce_fn(),
+                                     row);
+        } else {
+          dataplane::radix_scatter(out, *target, row);
+          if (may_move) {
+            out = Partition();  // release source records
+          }
         }
       }
+      nonempty[m] = so.nonempty_buckets(m);
     });
 
-    std::uint64_t bytes = 0, nonempty = 0;
-    for (const auto& row : so.buckets) {
-      for (const auto& b : row) {
-        bytes += b.bytes();
-        if (!b.empty()) ++nonempty;
-      }
+    std::uint64_t bytes = 0, transactions = 0;
+    for (std::size_t m = 0; m < rt.num_tasks; ++m) {
+      bytes += so.row_bytes(m);
+      transactions += nonempty[m];
     }
     if (!passthrough) {
-      bytes += nonempty * cm_.bucket_header_bytes;
+      bytes += transactions * cm_.bucket_header_bytes;
     }
     so.total_bytes = bytes;
     a.stage_shuffle_write += bytes;
-    a.write_transactions += nonempty;
+    a.write_transactions += transactions;
     a.pending.push_back(std::move(ps));
   }
 
@@ -1779,7 +1809,7 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
   // re-bucketed in place under a fresh partitioner with P' partitions — the
   // per-key merge order at the reducers equals the map-task order, which is
   // unchanged, so results stay bit-identical to an ample-memory run.
-  // Gather every live parent row first (moving the old buckets out).
+  // Gather every live parent row first (moving the old rows out).
   struct RowBuf {
     ShuffleOutput* so = nullptr;
     std::size_t m = 0;
@@ -1797,7 +1827,9 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
       RowBuf rb;
       rb.so = &so;
       rb.m = m;
-      for (auto& bucket : so.buckets[m]) rb.merged.absorb(std::move(bucket));
+      // The row arena already is its buckets' concatenation in bucket order.
+      rb.merged = std::move(so.rows[m].data);
+      so.rows[m] = ShuffleRow();
       rows.push_back(std::move(rb));
     }
   }
@@ -1822,9 +1854,6 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
   for (ShuffleOutput* so : outs) {
     so->partitioner = grown;
     so->passthrough = false;  // the re-bucketing below is a real shuffle
-    for (auto& row : so->buckets) {
-      row.assign(new_p, Partition());
-    }
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
     RowBuf& rb = rows[i];
@@ -1838,11 +1867,9 @@ bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
   }
   for (ShuffleOutput* so : outs) {
     std::uint64_t bytes = 0, nonempty = 0;
-    for (const auto& row : so->buckets) {
-      for (const auto& b : row) {
-        bytes += b.bytes();
-        if (!b.empty()) ++nonempty;
-      }
+    for (std::size_t m = 0; m < so->num_map_tasks; ++m) {
+      bytes += so->row_bytes(m);
+      nonempty += so->nonempty_buckets(m);
     }
     so->total_bytes = bytes + nonempty * cm_.bucket_header_bytes;
     // Every surviving row was re-bucketed in place: re-record its sum (lost
@@ -2053,9 +2080,7 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   // ---- result action -------------------------------------------------------
   if (plan.is_result) {
     if (ctx_.collect_records) {
-      for (const auto& part : rt.output) {
-        part.append_records_to(ctx_.result.records);
-      }
+      append_all_records(rt.output, ctx_.result.records);
     }
     for (const auto& tm : sm.tasks) ctx_.result.count += tm.records_out;
     if (eng_.ckpt_hook_ != nullptr) {
@@ -2279,11 +2304,7 @@ void JobRunner::verify_shuffle_sums(ShuffleOutput& so, StageMetrics& sm) {
     // Silent corruption detected: poison exactly this row — mark it lost so
     // the standard lineage replay rebuilds it (and refreshes its sum).
     if (so.lost.size() != so.num_map_tasks) so.lost.assign(so.num_map_tasks, 0);
-    std::uint64_t dropped = 0;
-    for (auto& bucket : so.buckets[m]) {
-      dropped += bucket.bytes();
-      bucket = Partition();
-    }
+    const std::uint64_t dropped = so.drop_row(m);
     so.lost[m] = 1;
     ++sm.checksum_failures;
     record_strike(so.map_node[m], HealthStrike::kChecksum, sm);
@@ -2347,12 +2368,10 @@ void JobRunner::fire_shuffle_corruption(std::size_t stage_global_id,
       continue;
     }
     const std::size_t m = std::min(inj.task, so.num_map_tasks - 1);
-    for (auto& bucket : so.buckets[m]) {
-      if (bucket.empty()) continue;
-      eng_.corruption_fired_[i] = 1;
-      bucket.corrupt_byte(inj.byte_offset);
-      break;
-    }
+    Partition& data = so.rows[m].data;
+    if (data.empty()) continue;
+    eng_.corruption_fired_[i] = 1;
+    data.corrupt_byte(inj.byte_offset);
   }
 }
 
@@ -2443,7 +2462,7 @@ void JobRunner::recover_map_tasks(std::size_t producer, StageMetrics& sm) {
                              pplan.name);
     }
   }
-  std::vector<ShuffleOutput*> parents;
+  std::vector<const ShuffleOutput*> parents;
   if (pplan.input == StageInputKind::kShuffle) {
     for (const std::size_t parent : pplan.parent_stages) {
       const auto it = prt.shuffle_from_producer.find(parent);
@@ -2451,12 +2470,12 @@ void JobRunner::recover_map_tasks(std::size_t producer, StageMetrics& sm) {
         throw std::logic_error("recovery: parent shuffle released for " +
                                pplan.name);
       }
-      parents.push_back(&eng_.shuffles_.get_mutable(it->second));
+      parents.push_back(&eng_.shuffles_.get(it->second));
     }
   }
 
   // Replay each lost pipeline task on a surviving node and rewrite its
-  // bucket row in every live shuffle that lost it. Rows of distinct map
+  // row in every live shuffle that lost it. Rows of distinct map
   // tasks are disjoint, so the replays run in parallel.
   std::vector<std::size_t> new_node(lost_idx.size());
   for (std::size_t i = 0; i < lost_idx.size(); ++i) {
@@ -2466,8 +2485,8 @@ void JobRunner::recover_map_tasks(std::size_t producer, StageMetrics& sm) {
   common::parallel_for(*eng_.pool_, lost_idx.size(), [&](std::size_t i) {
     const std::size_t m = lost_idx[i];
     TaskWork& tw = works[i];
-    Partition out = read_stage_input(producer, m, new_node[i], cached, parents,
-                                     /*consume=*/false, tw);
+    Partition out =
+        read_stage_input(producer, m, new_node[i], cached, parents, tw);
     for (const auto* op : pplan.narrow_ops) {
       out = apply_narrow_op(*op, std::move(out), m, tw);
     }
@@ -2515,11 +2534,11 @@ void JobRunner::recover_map_tasks(std::size_t producer, StageMetrics& sm) {
 void JobRunner::replay_bucket_row(ShuffleOutput& so, std::size_t m,
                                   const StagePlan& cplan, const Partition& out,
                                   TaskWork& tw) {
-  auto& row = so.buckets[m];
+  ShuffleRow& row = so.rows[m];
   const auto& target = so.partitioner;
-  for (auto& b : row) b = Partition();
   if (so.passthrough) {
-    row[m] = copy_partition(out);
+    row = ShuffleRow();
+    row.data = copy_partition(out);
     return;
   }
   const bool combine = eng_.options_.map_side_combine &&

@@ -9,11 +9,12 @@
 namespace chopper::engine {
 
 std::uint64_t ShuffleOutput::compute_row_sum(std::size_t m) const noexcept {
+  const ShuffleRow& row = rows[m];
   common::Checksum64 ck;
   ck.update_u64(m);
-  for (const Partition& bucket : buckets[m]) {
-    ck.update_u64(bucket.checksum());
-  }
+  ck.update_u64(row.data.checksum());
+  ck.update_array(row.rec_off.data(), row.rec_off.size());
+  ck.update_array(row.byte_off.data(), row.byte_off.size());
   return ck.digest();
 }
 
@@ -79,10 +80,7 @@ LossReport ShuffleManager::invalidate_node(std::size_t node) {
       if (so.map_node[m] != node || so.lost[m]) continue;
       so.lost[m] = 1;
       ++report.lost_tasks;
-      for (auto& bucket : so.buckets[m]) {
-        report.lost_bytes += bucket.bytes();
-        bucket = Partition();
-      }
+      report.lost_bytes += so.drop_row(m);
     }
   }
   return report;

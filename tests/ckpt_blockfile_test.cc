@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ckpt/blockfile.h"
+#include "common/hash.h"
+#include "engine/dataplane.h"
 #include "engine/partitioner.h"
 
 namespace chopper {
@@ -69,20 +72,24 @@ TEST(CkptBlockfile, ResultRoundTrip) {
   }
 }
 
-TEST(CkptBlockfile, ShuffleRoundTrip) {
-  const std::string path = temp_path("shuffle.blk");
+/// Two map rows over three reduce partitions: row 0 scattered (dense
+/// offsets), row 1 empty (no offsets).
+engine::ShuffleOutput make_shuffle() {
   engine::ShuffleOutput so;
   so.partitioner = std::make_shared<engine::HashPartitioner>(3);
   so.num_map_tasks = 2;
-  so.buckets.resize(2);
-  for (std::size_t m = 0; m < 2; ++m) {
-    for (std::size_t r = 0; r < 3; ++r) {
-      so.buckets[m].push_back(make_part(10 * m + r, 4 + r));
-    }
-  }
+  so.rows.resize(2);
+  engine::dataplane::radix_scatter(make_part(10, 12), *so.partitioner,
+                                   so.rows[0]);
   so.map_node = {0, 1};
   so.row_sum = {0xabcdULL, 0x1234ULL};
   so.total_bytes = 4096;
+  return so;
+}
+
+TEST(CkptBlockfile, ShuffleRoundTrip) {
+  const std::string path = temp_path("shuffle.blk");
+  const engine::ShuffleOutput so = make_shuffle();
   ASSERT_TRUE(ckpt::write_shuffle_block(path, /*consumer=*/7, so,
                                         /*sync=*/false));
 
@@ -95,13 +102,55 @@ TEST(CkptBlockfile, ShuffleRoundTrip) {
   EXPECT_EQ(back->so.total_bytes, so.total_bytes);
   ASSERT_NE(back->so.partitioner, nullptr);
   EXPECT_EQ(back->so.partitioner->num_partitions(), 3u);
-  ASSERT_EQ(back->so.buckets.size(), 2u);
+  ASSERT_EQ(back->so.rows.size(), 2u);
   for (std::size_t m = 0; m < 2; ++m) {
-    ASSERT_EQ(back->so.buckets[m].size(), 3u);
-    for (std::size_t r = 0; r < 3; ++r) {
-      EXPECT_EQ(rows(back->so.buckets[m][r]), rows(so.buckets[m][r]));
-    }
+    const engine::ShuffleRow& got = back->so.rows[m];
+    const engine::ShuffleRow& want = so.rows[m];
+    EXPECT_EQ(rows(got.data), rows(want.data)) << "row " << m;
+    EXPECT_EQ(got.data.checksum(), want.data.checksum()) << "row " << m;
+    EXPECT_EQ(got.rec_off, want.rec_off) << "row " << m;
+    EXPECT_EQ(got.byte_off, want.byte_off) << "row " << m;
+    EXPECT_EQ(back->so.compute_row_sum(m), so.compute_row_sum(m));
   }
+  EXPECT_EQ(back->so.rows[0].rec_off.size(), 4u);
+  EXPECT_TRUE(back->so.rows[1].rec_off.empty());
+}
+
+// A block written before the row layout (version 1, an M x R bucket grid)
+// is refused, so its job reruns in full instead of misreading the payload.
+TEST(CkptBlockfile, PreviousVersionShuffleBlockRefused) {
+  const std::string path = temp_path("shuffle_v1.blk");
+  ASSERT_TRUE(ckpt::write_shuffle_block(path, /*consumer=*/7, make_shuffle(),
+                                        /*sync=*/false));
+  ASSERT_TRUE(ckpt::read_shuffle_block(path).has_value());
+  std::string bytes = slurp(path);
+  // Header: 8-byte magic, 32-bit kind, 32-bit version. Rewrite the version
+  // and re-seal the footer so only the version check can refuse it.
+  const std::uint32_t old_version = 1;
+  std::memcpy(bytes.data() + 12, &old_version, 4);
+  common::Checksum64 sum;
+  sum.update_bytes(bytes.data(), bytes.size() - 8);
+  const std::uint64_t digest = sum.digest();
+  std::memcpy(bytes.data() + bytes.size() - 8, &digest, 8);
+  spit(path, bytes);
+  EXPECT_FALSE(ckpt::read_shuffle_block(path).has_value());
+}
+
+// Offsets that do not bound the arena, or a scattered row without them,
+// are refused even under a valid footer (a reader must never index past a
+// row or silently drop its records).
+TEST(CkptBlockfile, ShuffleRowOffsetsValidated) {
+  const std::string path = temp_path("shuffle_badoff.blk");
+  engine::ShuffleOutput so = make_shuffle();
+  so.rows[0].rec_off.back() += 1;
+  ASSERT_TRUE(ckpt::write_shuffle_block(path, 7, so, /*sync=*/false));
+  EXPECT_FALSE(ckpt::read_shuffle_block(path).has_value());
+
+  engine::ShuffleOutput missing = make_shuffle();
+  missing.rows[0].rec_off.clear();
+  missing.rows[0].byte_off.clear();
+  ASSERT_TRUE(ckpt::write_shuffle_block(path, 7, missing, /*sync=*/false));
+  EXPECT_FALSE(ckpt::read_shuffle_block(path).has_value());
 }
 
 TEST(CkptBlockfile, CacheRoundTrip) {

@@ -3,6 +3,8 @@
 // per-record reference implementations — same records, same order, same
 // bytes — and the combiner toggle must never change a job's results, its
 // replayed history, or its recovery behavior, only its shuffle volume.
+// The shuffle row layout (one arena per map task plus offsets) must expose
+// exactly the buckets a per-record push into R partitions would build.
 // Also unit coverage of the CombineTable (load bound, spill contract,
 // reuse) and the batched partitioner dispatch (partition_of_batch ==
 // partition_of).
@@ -11,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -52,6 +55,14 @@ void sum_fn(Record& acc, const Record& next) {
   acc.values[1] += next.values[1];
 }
 
+/// Bucket r of a written row as its own partition.
+Partition bucket_of(const ShuffleRow& row, std::size_t r) {
+  const BucketSpan b = row.bucket(r);
+  Partition out;
+  out.append_range(row.data, b.first, b.last);
+  return out;
+}
+
 void expect_same_records(const Partition& got, const Partition& want) {
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got.bytes(), want.bytes());
@@ -75,7 +86,7 @@ TEST(DataPlane, RadixScatterMatchesPerRecordReference) {
   const Partition data = make_partition(4096, 512, 7);
   const HashPartitioner hash(13);
 
-  std::vector<Partition> got(hash.num_partitions());
+  ShuffleRow got;
   dataplane::radix_scatter(data, hash, got);
 
   std::vector<Partition> want(hash.num_partitions());
@@ -85,7 +96,7 @@ TEST(DataPlane, RadixScatterMatchesPerRecordReference) {
     want[hash.partition_of(scratch.key)].push(scratch);
   }
   for (std::size_t r = 0; r < want.size(); ++r) {
-    expect_same_records(got[r], want[r]);
+    expect_same_records(bucket_of(got, r), want[r]);
   }
 }
 
@@ -95,14 +106,15 @@ TEST(DataPlane, RadixScatterRangePartitionerSortedRuns) {
   for (std::uint64_t k = 0; k < 4096; k += 37) sample.push_back(k);
   const auto range = RangePartitioner::from_sample(8, sample);
 
-  std::vector<Partition> got(range->num_partitions());
+  ShuffleRow got;
   dataplane::radix_scatter(data, *range, got);
 
   std::size_t total = 0;
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    total += got[r].size();
-    for (std::size_t i = 0; i < got[r].size(); ++i) {
-      EXPECT_EQ(range->partition_of(got[r].key(i)), r);
+  for (std::size_t r = 0; r < range->num_partitions(); ++r) {
+    const BucketSpan b = got.bucket(r);
+    total += b.last - b.first;
+    for (std::size_t i = b.first; i < b.last; ++i) {
+      EXPECT_EQ(range->partition_of(got.data.key(i)), r);
     }
   }
   EXPECT_EQ(total, data.size());
@@ -137,12 +149,12 @@ TEST(DataPlane, CombineScatterMatchesScatterThenReduce) {
   const Partition data = make_partition(4096, 256, 23);
   const HashPartitioner hash(7);
 
-  std::vector<Partition> got(hash.num_partitions());
+  ShuffleRow got;
   dataplane::combine_scatter(data, hash, sum_fn, got);
 
   const std::vector<Partition> want = combine_reference(data, hash);
   for (std::size_t r = 0; r < want.size(); ++r) {
-    expect_same_records(got[r], want[r]);
+    expect_same_records(bucket_of(got, r), want[r]);
   }
 }
 
@@ -153,7 +165,7 @@ TEST(DataPlane, CombineScatterSpillPathMatchesReference) {
   const Partition data = make_partition(300'000, 200'000, 41);
   const HashPartitioner one(1);
 
-  std::vector<Partition> got(1);
+  ShuffleRow got;
   dataplane::combine_scatter(data, one, sum_fn, got);
 
   const std::vector<Partition> want = combine_reference(data, one);
@@ -162,25 +174,156 @@ TEST(DataPlane, CombineScatterSpillPathMatchesReference) {
   ASSERT_GT(want[0].size(), dataplane::CombineTable::kMaxSlots *
                                 dataplane::CombineTable::kMaxLoadNum /
                                 dataplane::CombineTable::kMaxLoadDen);
-  expect_same_records(got[0], want[0]);
+  expect_same_records(bucket_of(got, 0), want[0]);
 }
 
 TEST(DataPlane, CombineScatterShrinksBytes) {
   const Partition data = make_partition(8192, 128, 31);
   const HashPartitioner hash(4);
 
-  std::vector<Partition> plain(hash.num_partitions());
+  ShuffleRow plain;
   dataplane::radix_scatter(data, hash, plain);
-  std::vector<Partition> combined(hash.num_partitions());
+  ShuffleRow combined;
   dataplane::combine_scatter(data, hash, sum_fn, combined);
 
   std::size_t plain_bytes = 0;
   std::size_t combined_bytes = 0;
   for (std::size_t r = 0; r < hash.num_partitions(); ++r) {
-    plain_bytes += plain[r].bytes();
-    combined_bytes += combined[r].bytes();
+    plain_bytes += plain.bucket(r).bytes;
+    combined_bytes += combined.bucket(r).bytes;
   }
   EXPECT_LT(combined_bytes, plain_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Shuffle row layout: every bucket span of a written row (and of a
+// ShuffleOutput, pass-through included) equals what a per-record push into
+// R separate partitions builds — records in order, byte counts, emptiness
+// and non-empty counts — and reduce-side span copies in map order equal the
+// concatenated reference buckets.
+
+std::vector<Partition> scatter_reference(const Partition& data,
+                                         const Partitioner& part) {
+  std::vector<Partition> want(part.num_partitions());
+  Record scratch;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.materialize_into(i, scratch);
+    want[part.partition_of(scratch.key)].push(scratch);
+  }
+  return want;
+}
+
+void expect_row_matches(const ShuffleOutput& so, std::size_t m,
+                        const std::vector<Partition>& want) {
+  std::size_t nonempty = 0;
+  std::uint64_t bytes = 0;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    SCOPED_TRACE("map " + std::to_string(m) + " bucket " + std::to_string(r));
+    const BucketSpan b = so.bucket(m, r);
+    Partition got;
+    got.append_range(so.rows[m].data, b.first, b.last);
+    expect_same_records(got, want[r]);
+    EXPECT_EQ(b.bytes, want[r].bytes());
+    EXPECT_EQ(b.first == b.last, want[r].empty());
+    if (!want[r].empty()) ++nonempty;
+    bytes += want[r].bytes();
+  }
+  EXPECT_EQ(so.nonempty_buckets(m), nonempty);
+  EXPECT_EQ(so.row_bytes(m), bytes);
+}
+
+TEST(ShuffleRowLayout, BucketSpansMatchPerRecordPush) {
+  std::vector<std::uint64_t> sample;
+  for (std::uint64_t k = 0; k < 512; k += 7) sample.push_back(k);
+  const std::shared_ptr<Partitioner> parts[] = {
+      std::make_shared<HashPartitioner>(13),
+      RangePartitioner::from_sample(9, sample),
+      std::make_shared<HashPartitioner>(800),  // sparse: most buckets empty
+  };
+  for (const auto& part : parts) {
+    for (const bool combine : {false, true}) {
+      SCOPED_TRACE(std::string(part->kind() == PartitionerKind::kHash
+                                   ? "hash"
+                                   : "range") +
+                   " R=" + std::to_string(part->num_partitions()) +
+                   (combine ? " combine" : " plain"));
+      // Map inputs: a full one, an empty one (an empty row), a tiny one and
+      // a sparse one (300 records, the PageRank shape at R=800).
+      std::vector<Partition> inputs;
+      inputs.push_back(make_partition(2048, 512, 61));
+      inputs.emplace_back();
+      inputs.push_back(make_partition(3, 512, 62));
+      inputs.push_back(make_partition(300, 100000, 63));
+
+      ShuffleOutput so;
+      so.num_map_tasks = inputs.size();
+      so.rows.resize(inputs.size());
+      std::vector<std::vector<Partition>> want;
+      for (std::size_t m = 0; m < inputs.size(); ++m) {
+        if (combine) {
+          dataplane::combine_scatter(inputs[m], *part, sum_fn, so.rows[m]);
+          want.push_back(combine_reference(inputs[m], *part));
+        } else {
+          dataplane::radix_scatter(inputs[m], *part, so.rows[m]);
+          want.push_back(scatter_reference(inputs[m], *part));
+        }
+        expect_row_matches(so, m, want[m]);
+      }
+      // An empty row stores no offsets; a non-empty row stores R+1.
+      EXPECT_TRUE(so.rows[1].data.empty());
+      EXPECT_TRUE(so.rows[1].rec_off.empty());
+      EXPECT_TRUE(so.rows[1].byte_off.empty());
+      EXPECT_EQ(so.rows[0].rec_off.size(), part->num_partitions() + 1);
+      EXPECT_EQ(so.rows[0].byte_off.size(), part->num_partitions() + 1);
+
+      // Reduce side: bucket r's spans copied in map order equal the
+      // reference buckets concatenated in map order.
+      for (std::size_t r = 0; r < part->num_partitions(); ++r) {
+        Partition got;
+        Partition expect;
+        for (std::size_t m = 0; m < inputs.size(); ++m) {
+          const BucketSpan b = so.bucket(m, r);
+          got.append_range(so.rows[m].data, b.first, b.last);
+          expect.absorb(Partition(want[m][r]));
+        }
+        expect_same_records(got, expect);
+      }
+    }
+  }
+}
+
+TEST(ShuffleRowLayout, PassthroughRowIsItsOwnBucket) {
+  // Co-partitioned write: row m is the map output, all of it in bucket m.
+  ShuffleOutput so;
+  so.passthrough = true;
+  so.num_map_tasks = 3;
+  so.rows.resize(3);
+  so.rows[0].data = make_partition(50, 40, 71);
+  so.rows[2].data = make_partition(9, 40, 72);  // row 1 stays empty
+  for (std::size_t m = 0; m < 3; ++m) {
+    std::vector<Partition> want(3);
+    want[m] = so.rows[m].data;
+    expect_row_matches(so, m, want);
+    EXPECT_TRUE(so.rows[m].rec_off.empty());
+  }
+  EXPECT_EQ(so.nonempty_buckets(1), 0u);
+}
+
+TEST(ShuffleRowLayout, RewriteReplacesTheRow) {
+  // Replays and re-bucketing rewrite a row in place: the write replaces
+  // the old content instead of appending to it.
+  const HashPartitioner hash(5);
+  const Partition data = make_partition(400, 64, 81);
+  ShuffleRow row;
+  dataplane::radix_scatter(make_partition(100, 64, 82), hash, row);
+  dataplane::radix_scatter(data, hash, row);
+  const std::vector<Partition> want = scatter_reference(data, hash);
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    expect_same_records(bucket_of(row, r), want[r]);
+  }
+  dataplane::combine_scatter(Partition(), hash, sum_fn, row);
+  EXPECT_TRUE(row.data.empty());
+  EXPECT_TRUE(row.rec_off.empty());
 }
 
 // ---------------------------------------------------------------------------
