@@ -4,9 +4,11 @@
 #include <utility>
 #include <vector>
 
+#include "chopper/collector.h"
 #include "chopper/cost.h"
 #include "common/logging.h"
 #include "engine/partitioner.h"
+#include "obs/history.h"
 
 namespace chopper::adapt {
 
@@ -38,10 +40,9 @@ void AdaptiveController::set_event_log(obs::EventLog* log) noexcept {
   event_log_ = log;
 }
 
-void AdaptiveController::set_job_enabled(const std::string& job_name,
-                                         bool enabled) {
+void AdaptiveController::set_job_enabled(std::uint64_t job_id, bool enabled) {
   std::lock_guard lock(mu_);
-  job_overrides_[job_name] = enabled;
+  job_overrides_[job_id] = enabled;
 }
 
 void AdaptiveController::set_default_enabled(bool enabled) {
@@ -74,9 +75,10 @@ void AdaptiveController::append(const obs::Event& e) {
     case obs::EventKind::kJobSubmit: {
       std::lock_guard lock(mu_);
       bool enabled = default_enabled_;
-      if (const auto it = job_overrides_.find(e.name);
+      if (const auto it = job_overrides_.find(e.job);
           it != job_overrides_.end()) {
         enabled = it->second;
+        job_overrides_.erase(it);
       }
       job_admitted_[e.job] = enabled;
       if (enabled) dw_by_job_[e.job] = 0.0;
@@ -118,95 +120,39 @@ bool AdaptiveController::job_enabled_locked(std::uint64_t job) const {
   return it != job_admitted_.end() ? it->second : default_enabled_;
 }
 
+double AdaptiveController::dw_locked(std::uint64_t job) const {
+  const auto it = dw_by_job_.find(job);
+  return it != dw_by_job_.end() && it->second > 0.0 ? it->second : 1.0;
+}
+
 void AdaptiveController::fold_stage_end_locked(const obs::Event& e) {
-  const double d = static_cast<double>(e.bytes_in);
+  const engine::StageMetrics s = obs::stage_from_event(e, {});
   // Source stages accumulate the job's input footprint D_w exactly like the
   // offline collector measures it — except streaming: a stage folded before
   // all sources finished sees the partial sum, which later folds refine.
-  if (e.anchor_op == static_cast<std::uint64_t>(engine::OpKind::kSource) &&
-      e.list.empty()) {
-    dw_by_job_[e.job] += d;
+  if (s.anchor_op == engine::OpKind::kSource && s.parent_signatures.empty()) {
+    dw_by_job_[e.job] += static_cast<double>(s.input_bytes);
   }
-  double dw = 0.0;
-  if (const auto it = dw_by_job_.find(e.job); it != dw_by_job_.end()) {
-    dw = it->second;
-  }
-  if (dw <= 0.0) dw = 1.0;
-
-  core::WorkloadDb& db = chopper_.db();
-
-  core::Observation o;
-  o.workload = workload_;
-  o.signature = e.signature;
-  o.partitioner = static_cast<engine::PartitionerKind>(e.partitioner);
-  o.workload_input_bytes = dw;
-  o.stage_input_bytes = d;
-  o.num_partitions = static_cast<double>(e.num_partitions);
-  o.t_exe_s = e.sim_time_s;
-  o.shuffle_bytes = static_cast<double>(
-      std::max(e.shuffle_read_bytes, e.shuffle_write_bytes));
-  o.is_default = false;
-  db.add(std::move(o));
+  core::ingest_stage(chopper_.db(), workload_, s, dw_locked(e.job),
+                     /*is_default=*/false);
   ++stats_.observations;
   ++pending_observations_;
-
-  for (const std::uint64_t p : e.list2) {
-    core::OomRecord r;
-    r.workload = workload_;
-    r.signature = e.signature;
-    r.stage_input_bytes = d;
-    r.num_partitions = static_cast<double>(p);
-    db.add_oom(std::move(r));
-    ++stats_.oom_records;
-  }
-  if (!e.list2.empty()) {
+  stats_.oom_records += s.oomed_partition_counts.size();
+  if (!s.oomed_partition_counts.empty()) {
     // The committed attempt's partition count is *proven* feasible at this
     // stage's real input — a floor the OOM records alone cannot establish
     // (they only bound the failures; counts between P_fail and the grown
     // count are unproven).
-    std::size_t& floor_p = feasible_floor_[e.signature];
-    floor_p = std::max<std::size_t>(floor_p, e.num_partitions);
+    std::size_t& floor_p = feasible_floor_[s.signature];
+    floor_p = std::max(floor_p, s.num_partitions);
   }
-
-  if (e.fetch_retries != 0 || e.refetched_bytes != 0 ||
-      e.checksum_failures != 0 || e.node_exclusions != 0) {
-    core::FaultRecord fr;
-    fr.workload = workload_;
-    fr.signature = e.signature;
-    fr.fetch_retries = e.fetch_retries;
-    fr.refetched_bytes = e.refetched_bytes;
-    fr.checksum_failures = e.checksum_failures;
-    fr.node_exclusions = e.node_exclusions;
-    db.add_fault(std::move(fr));
-  }
-
-  core::StageStructure st;
-  st.signature = e.signature;
-  st.name = e.name;
-  st.anchor_op = static_cast<engine::OpKind>(e.anchor_op);
-  st.fixed_partitions = (e.flags & obs::kFlagFixedPartitions) != 0;
-  st.user_fixed = (e.flags & obs::kFlagUserFixed) != 0;
-  st.parents.insert(e.list.begin(), e.list.end());
-  st.input_ratio_sum = d / dw;
-  st.input_ratio_count = 1;
-  st.dw_sum = dw;
-  st.d_sum = d;
-  st.dw2_sum = dw * dw;
-  st.dwd_sum = dw * d;
-  st.fit_count = 1;
-  db.add_structure(workload_, std::move(st));
 }
 
 void AdaptiveController::maybe_replan_locked(const obs::Event& trigger) {
   if (stats_.replans >= opts_.max_replans) return;
   if (pending_observations_ < opts_.min_observations) return;
 
-  double dw = 0.0;
-  if (const auto it = dw_by_job_.find(trigger.job); it != dw_by_job_.end()) {
-    dw = it->second;
-  }
-  if (dw <= 0.0) dw = 1.0;
-
+  const double dw = dw_locked(trigger.job);
   pending_observations_ = 0;
   const auto rr = chopper_.replan(workload_, dw, opts_.max_sweep_stages);
   if (!rr.swept) return;

@@ -3,9 +3,10 @@
 // The paper's dynamic-update hook swaps plans *between* jobs; this subsystem
 // closes the loop *during* execution. An AdaptiveController subscribes to
 // the structured event log as an ordinary in-process TraceSink. Every
-// kStageEnd it observes is folded into the WorkloadDb exactly the way the
-// offline StatsCollector folds finished runs — one streaming Observation
-// (plus OOM / fault / structure records) per committed stage. The fold makes
+// kStageEnd it observes is decoded into its stage row (obs::stage_from_event)
+// and folded into the WorkloadDb by the offline StatsCollector's own
+// per-stage function, core::ingest_stage — one streaming Observation (plus
+// OOM / fault / structure records) per committed stage. The fold makes
 // the lazily-trained stage models stale; the next Algorithm-3 sweep refits
 // them incrementally, bit-identical to an offline refit over the same
 // observation set (WorkloadDb::model's canonical-order contract).
@@ -96,9 +97,11 @@ class AdaptiveController final : public obs::TraceSink {
   /// TraceSink: folds kStageEnd statistics, then gates a bounded re-sweep.
   void append(const obs::Event& e) override;
 
-  /// Per-job gating for multi-tenant serving: an explicit per-name override
-  /// wins; jobs without one follow `default_enabled` (true by default).
-  void set_job_enabled(const std::string& job_name, bool enabled);
+  /// Per-job gating for multi-tenant serving: an explicit override for the
+  /// job id wins; jobs without one follow `default_enabled` (true by
+  /// default). Register before the job's kJobSubmit, which resolves the gate
+  /// and drops the override.
+  void set_job_enabled(std::uint64_t job_id, bool enabled);
   void set_default_enabled(bool enabled);
 
   /// Callback invoked after every refit epoch, outside the controller's
@@ -128,6 +131,8 @@ class AdaptiveController final : public obs::TraceSink {
   };
 
   bool job_enabled_locked(std::uint64_t job) const;
+  /// The job's streaming D_w so far (1.0 until a source stage folded).
+  double dw_locked(std::uint64_t job) const;
   void fold_stage_end_locked(const obs::Event& e);
   void maybe_replan_locked(const obs::Event& trigger);
   common::KvConfig config_locked() const;
@@ -155,9 +160,10 @@ class AdaptiveController final : public obs::TraceSink {
   /// must keep them or a provider update would silently drop the inserted
   /// repartition phases.
   std::set<std::uint64_t> repartition_sigs_;
-  /// Jobs admitted by the name gate (resolved at kJobSubmit).
+  /// Jobs admitted by the gate (resolved at kJobSubmit).
   std::map<std::uint64_t, bool> job_admitted_;
-  std::map<std::string, bool> job_overrides_;
+  /// Per-job-id overrides not yet resolved by their kJobSubmit.
+  std::map<std::uint64_t, bool> job_overrides_;
   bool default_enabled_ = true;
   std::size_t pending_observations_ = 0;
   std::function<void()> refit_listener_;

@@ -14,6 +14,14 @@ class EventLog;
 
 namespace chopper::core {
 
+/// Fold one committed stage row into `db`: its Observation, one OomRecord
+/// per OOMed attempt, a FaultRecord when transient faults fired, and its
+/// StageStructure. StatsCollector::ingest runs this for every stage of a
+/// finished run; the online controller (src/adapt) for every kStageEnd.
+void ingest_stage(WorkloadDb& db, const std::string& workload,
+                  const engine::StageMetrics& s, double workload_input_bytes,
+                  bool is_default);
+
 class StatsCollector {
  public:
   explicit StatsCollector(WorkloadDb& db) : db_(db) {}

@@ -4,7 +4,8 @@
 // managers, metrics registry and the resource timeline. Actions (count /
 // collect) submit jobs: the lineage is cut into stages, stages execute in
 // topological order with a global barrier between them, and every stage
-// produces a StageMetrics row.
+// produces a StageMetrics row. A job's JobResult is its JobMetrics row plus
+// the action's payload (count or records).
 //
 // Tasks run *for real* on a host thread pool (real records through real
 // partitioners); their measured work is then priced by the CostModel onto
@@ -138,48 +139,11 @@ struct EngineOptions {
   Speculation speculation;
 };
 
-struct JobResult {
-  std::size_t job_id = 0;
-  std::string name;
-  double sim_time_s = 0.0;
-  double wall_time_s = 0.0;
-  std::uint64_t count = 0;           ///< for count actions
-  std::vector<Record> records;       ///< for collect actions
-  std::vector<std::size_t> stage_ids;
-
-  // Fault-tolerance telemetry (mirrors the JobMetrics row).
-  std::size_t stage_attempts = 0;     ///< total stage executions (>= #stages)
-  std::size_t recomputed_tasks = 0;   ///< tasks replayed from lineage
-  std::uint64_t lost_bytes = 0;       ///< data destroyed by node failures
-  std::uint64_t recomputed_bytes = 0; ///< bytes regenerated by replay
-  double recovery_time_s = 0.0;       ///< sim seconds spent recovering
-
-  // Memory telemetry (mirrors the JobMetrics row; modeled bytes).
-  std::size_t oom_count = 0;          ///< stage attempts killed by OOM
-  std::uint64_t evicted_bytes = 0;    ///< cached bytes LRU-evicted
-  std::uint64_t spilled_bytes = 0;    ///< bytes pushed to the disk tier
-  std::uint64_t peak_resident_bytes = 0;  ///< max per-node resident estimate
-
-  // Transient-fault telemetry (mirrors the JobMetrics row; DESIGN.md §14).
-  std::size_t fetch_retries = 0;      ///< flaky fetches retried in place
-  std::uint64_t refetched_bytes = 0;  ///< bytes re-transferred by retries
-  std::size_t checksum_failures = 0;  ///< corrupted pieces detected + healed
-  std::size_t node_exclusions = 0;    ///< health exclusions fired
-
-  // Checkpoint-resume telemetry (mirrors the JobMetrics row; DESIGN.md §16).
-  // Provenance, not results — identity digests exclude these, like
-  // wall_time_s.
-  std::size_t resumed_stages = 0;     ///< stages adopted from the WAL
-  std::uint64_t replayed_events = 0;  ///< WAL events decoded during recovery
-  std::uint64_t restored_bytes = 0;   ///< block-file payload bytes restored
-  double recovery_wall_s = 0.0;       ///< host seconds spent recovering
-
-  // Cache telemetry (mirrors the JobMetrics row; DESIGN.md §17).
-  std::size_t cache_hits = 0;         ///< cached partitions read resident
-  std::size_t cache_misses = 0;       ///< cached partitions healed before read
-  std::uint64_t recompute_saved_bytes = 0;  ///< bytes served from residency
-  std::size_t evictions_lru = 0;      ///< evictions chosen by LRU order
-  std::size_t evictions_cost = 0;     ///< evictions chosen by planner priority
+/// A job's outcome: its JobMetrics row (the same row the registry records)
+/// plus the action's payload.
+struct JobResult : JobMetrics {
+  std::uint64_t count = 0;      ///< for count actions
+  std::vector<Record> records;  ///< for collect actions
 };
 
 /// A job aborted (injected-fault retry budget exhausted, stage-attempt bound

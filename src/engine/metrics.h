@@ -3,11 +3,16 @@
 // Every executed stage produces a StageMetrics row with its signature,
 // input size, partition scheme, simulated and wall execution time, shuffle
 // read/write bytes and the per-task time distribution (for skew analysis).
+// Every job produces a JobMetrics row that folds its stages (fold_stage).
+// The counters the two rows share are declared from one list,
+// obs/row_counters.h, which also generates the fold and the row <-> event
+// copies (obs/history.h).
 // A ResourceTimeline accumulates per-simulated-second utilization samples
 // (CPU slot occupancy, memory, network bytes, block-store transactions) to
 // reproduce the paper's Fig. 11-14.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -15,6 +20,7 @@
 
 #include "engine/dataset.h"
 #include "engine/partitioner.h"
+#include "obs/row_counters.h"
 
 namespace chopper::engine {
 
@@ -36,6 +42,8 @@ struct TaskMetrics {
   std::uint64_t shuffle_read_local = 0;
 
   double duration() const noexcept { return sim_end - sim_start; }
+
+  bool operator==(const TaskMetrics&) const = default;
 };
 
 struct StageMetrics {
@@ -61,44 +69,17 @@ struct StageMetrics {
   std::uint64_t shuffle_read_bytes = 0;   ///< local + remote
   std::uint64_t shuffle_write_bytes = 0;
 
-  // Fault-tolerance telemetry (populated when a failure schedule is active).
-  std::size_t attempt_count = 1;      ///< stage executions (1 == no retry)
-  std::size_t recomputed_tasks = 0;   ///< parent map tasks / cached blocks replayed
-  std::uint64_t recomputed_bytes = 0; ///< bytes regenerated by lineage replay
-  double recovery_time_s = 0.0;       ///< sim seconds of replay + wasted attempts
-
-  // Transient-fault telemetry (FlakySchedule / CorruptionSchedule /
-  // NodeHealth; DESIGN.md §14). Counters accumulate across every attempt of
-  // the stage, so retries that never commit still leave their trace; the
-  // per-task rows carry only the committed attempt's share.
-  std::size_t fetch_retries = 0;       ///< transient fetch failures retried in place
-  std::uint64_t refetched_bytes = 0;   ///< bytes re-transferred by those retries
-  std::size_t checksum_failures = 0;   ///< corrupted rows/blocks detected + healed
-  std::size_t node_exclusions = 0;     ///< health exclusions fired this stage
-
-  // Memory telemetry (populated when MemoryLimits/OomSchedule are active).
-  // Byte counters are in *modeled* bytes (after CostModel::data_scale
-  // rescaling) so they compare directly against NodeSpec::memory_bytes.
-  std::size_t oom_count = 0;          ///< attempts killed by TaskOomError
+  std::size_t attempt_count = 1;  ///< stage executions (1 == no retry)
   /// Partition count in effect at each OOMed attempt. The committed row's
   /// `num_partitions` carries the final (possibly grown, feasible) count, so
   /// the infeasible counts CHOPPER must learn to avoid are recorded here.
   std::vector<std::size_t> oomed_partition_counts;
-  std::uint64_t evicted_bytes = 0;    ///< cached bytes LRU-evicted this stage
-  std::uint64_t spilled_bytes = 0;    ///< task + shuffle bytes sent to disk tier
-  std::uint64_t peak_resident_bytes = 0;  ///< max per-node resident estimate
 
-  // Cache telemetry (populated for cache-input stages; DESIGN.md §17).
-  // Hits/misses count cached partitions: a hit was read resident, a miss had
-  // to be healed from lineage before the read. recompute_saved_bytes is the
-  // byte volume served from residency (the recomputation the cache avoided).
-  // Evictions attributed to this stage are split by the policy that chose
-  // the victim ("evictions by policy"): plain LRU vs. planner cost order.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::uint64_t recompute_saved_bytes = 0;
-  std::size_t evictions_lru = 0;
-  std::size_t evictions_cost = 0;
+  // Recovery, fault, memory and cache counters (obs/row_counters.h). They
+  // accumulate across every attempt of the stage, so retries that never
+  // commit still leave their trace; the per-task rows carry only the
+  // committed attempt's share. Byte counters are modeled bytes.
+  CHOPPER_ROW_COUNTERS(CHOPPER_ROW_COUNTER_MEMBER)
 
   double sim_time_s = 0.0;   ///< simulated makespan on the cluster
   double sim_start_s = 0.0;  ///< job-relative simulated start
@@ -114,6 +95,8 @@ struct StageMetrics {
     return shuffle_read_bytes > shuffle_write_bytes ? shuffle_read_bytes
                                                     : shuffle_write_bytes;
   }
+
+  bool operator==(const StageMetrics&) const = default;
 };
 
 struct JobMetrics {
@@ -128,31 +111,11 @@ struct JobMetrics {
   bool failed = false;
   std::string error;
 
-  // Fault-tolerance telemetry aggregated over the job's stages.
-  std::size_t stage_attempts = 0;     ///< sum of StageMetrics::attempt_count
-  std::size_t recomputed_tasks = 0;
-  std::uint64_t lost_bytes = 0;       ///< data destroyed by node failures
-  std::uint64_t recomputed_bytes = 0;
-  double recovery_time_s = 0.0;
+  std::size_t stage_attempts = 0;  ///< sum of StageMetrics::attempt_count
+  std::uint64_t lost_bytes = 0;    ///< data destroyed by node failures
 
-  // Transient-fault telemetry aggregated over the job's stages.
-  std::size_t fetch_retries = 0;
-  std::uint64_t refetched_bytes = 0;
-  std::size_t checksum_failures = 0;
-  std::size_t node_exclusions = 0;
-
-  // Memory telemetry aggregated over the job's stages (modeled bytes).
-  std::size_t oom_count = 0;
-  std::uint64_t evicted_bytes = 0;
-  std::uint64_t spilled_bytes = 0;
-  std::uint64_t peak_resident_bytes = 0;  ///< max over stages
-
-  // Cache telemetry aggregated over the job's stages (DESIGN.md §17).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::uint64_t recompute_saved_bytes = 0;
-  std::size_t evictions_lru = 0;
-  std::size_t evictions_cost = 0;
+  /// The stage rows' counters folded over the job's stages (fold_stage).
+  CHOPPER_ROW_COUNTERS(CHOPPER_ROW_COUNTER_MEMBER)
 
   // Checkpoint-resume telemetry (src/ckpt, DESIGN.md §16). Provenance, not
   // results: identity digests must exclude these (like wall_time_s), since a
@@ -162,7 +125,17 @@ struct JobMetrics {
   std::uint64_t replayed_events = 0;   ///< WAL events decoded during recovery
   std::uint64_t restored_bytes = 0;    ///< block-file payload bytes restored
   double recovery_wall_s = 0.0;        ///< host seconds spent recovering
+
+  bool operator==(const JobMetrics&) const = default;
 };
+
+/// Fold one committed stage row into its job's aggregates: attempt_count
+/// sums into stage_attempts, and every row counter sums (peak_resident_bytes
+/// takes the max).
+inline void fold_stage(JobMetrics& job, const StageMetrics& stage) {
+  job.stage_attempts += stage.attempt_count;
+  obs::fold_row_counters(job, stage);
+}
 
 /// Per-node memory counters for one engine run (modeled bytes, i.e. after
 /// CostModel::data_scale rescaling — directly comparable to
@@ -221,35 +194,21 @@ class MemoryLedger {
     std::lock_guard lock(mu_);
     return nodes_;
   }
-  std::uint64_t total_spilled() const {
+  /// Every node's counters summed in one locked pass; peak_resident_bytes
+  /// is the largest node peak.
+  NodeMemoryStats totals() const {
     std::lock_guard lock(mu_);
-    std::uint64_t b = 0;
-    for (const auto& n : nodes_) b += n.spilled_bytes;
-    return b;
-  }
-  std::uint64_t total_evicted() const {
-    std::lock_guard lock(mu_);
-    std::uint64_t b = 0;
-    for (const auto& n : nodes_) b += n.evicted_bytes;
-    return b;
-  }
-  std::size_t total_ooms() const {
-    std::lock_guard lock(mu_);
-    std::size_t c = 0;
-    for (const auto& n : nodes_) c += n.oom_count;
-    return c;
-  }
-  std::size_t total_evictions_lru() const {
-    std::lock_guard lock(mu_);
-    std::size_t c = 0;
-    for (const auto& n : nodes_) c += n.evictions_lru;
-    return c;
-  }
-  std::size_t total_evictions_cost() const {
-    std::lock_guard lock(mu_);
-    std::size_t c = 0;
-    for (const auto& n : nodes_) c += n.evictions_cost;
-    return c;
+    NodeMemoryStats t;
+    for (const auto& n : nodes_) {
+      t.spilled_bytes += n.spilled_bytes;
+      t.evicted_bytes += n.evicted_bytes;
+      t.oom_count += n.oom_count;
+      t.peak_resident_bytes =
+          std::max(t.peak_resident_bytes, n.peak_resident_bytes);
+      t.evictions_lru += n.evictions_lru;
+      t.evictions_cost += n.evictions_cost;
+    }
+    return t;
   }
 
   /// Zero the counters, keeping the node count.

@@ -42,6 +42,7 @@
 #include "engine/engine.h"
 #include "engine/resume.h"
 #include "obs/event_log.h"
+#include "obs/history.h"
 
 namespace chopper::engine {
 
@@ -293,7 +294,8 @@ class JobRunner {
         flaky_(eng.options_.flaky_schedule.enabled()),
         corrupt_(eng.options_.corruption_schedule.enabled()),
         integrity_(corrupt_ || eng.options_.integrity_checksums),
-        retain_(ft_ || mem_ || oom_inj_ || flaky_ || corrupt_) {}
+        retain_(ft_ || mem_ || oom_inj_ || flaky_ || corrupt_),
+        job_metrics_(ctx.result) {}
 
   JobResult run();
 
@@ -451,7 +453,6 @@ class JobRunner {
     eng_.event_log_->emit(std::move(e));
   }
   void emit(obs::Event e) const { emit_at(now(), std::move(e)); }
-  void emit_job_finish(const JobMetrics& jm) const;
   void emit_stage_end(std::size_t s, const StageMetrics& sm,
                       const Attempt& a) const;
 
@@ -468,7 +469,8 @@ class JobRunner {
   /// that can retry a stage attempt (node failures, enforced memory, OOM
   /// injection) needs it.
   const bool retain_;
-  JobMetrics job_metrics_;
+  /// The job's row: the result's JobMetrics base, committed by run().
+  JobMetrics& job_metrics_;
 };
 
 JobResult JobRunner::run() {
@@ -486,59 +488,29 @@ JobResult JobRunner::run() {
     emit(std::move(e));
   }
 
+  // Commit the job row, on success or abort: release the job's shuffles
+  // (fault-tolerant mode retains them until job end for lineage replay; the
+  // classic path released them per stage already), stamp the row's times,
+  // emit kJobFinish and record it.
+  const auto finish = [&] {
+    release_job_shuffles();
+    job_metrics_.sim_time_s = now() - job_sim_start;
+    job_metrics_.wall_time_s = seconds_since(job_t0);
+    if (tracing()) emit(obs::job_to_event(job_metrics_));
+    eng_.metrics_.add_job(job_metrics_);
+  };
   try {
     const std::size_t first = adopt_restored();
     for (std::size_t s = first; s < ctx_.plan.stages.size(); ++s) run_stage(s);
   } catch (const std::exception& e) {
     // Abort path: never leak this job's shuffles, and leave a structured
     // partial JobMetrics row covering the stages that did complete.
-    release_job_shuffles();
     job_metrics_.failed = true;
     job_metrics_.error = e.what();
-    job_metrics_.sim_time_s = now() - job_sim_start;
-    job_metrics_.wall_time_s = seconds_since(job_t0);
-    if (tracing()) emit_job_finish(job_metrics_);
-    eng_.metrics_.add_job(std::move(job_metrics_));
+    finish();
     throw;
   }
-
-  // Fault-tolerant mode retains shuffles until job end for lineage replay;
-  // release them now. (The classic path released per stage already — the
-  // remove calls below are no-ops there.)
-  release_job_shuffles();
-
-  ctx_.result.job_id = ctx_.job_id;
-  ctx_.result.name = ctx_.name;
-  ctx_.result.sim_time_s = now() - job_sim_start;
-  ctx_.result.wall_time_s = seconds_since(job_t0);
-  ctx_.result.stage_ids = job_metrics_.stage_ids;
-  ctx_.result.stage_attempts = job_metrics_.stage_attempts;
-  ctx_.result.recomputed_tasks = job_metrics_.recomputed_tasks;
-  ctx_.result.lost_bytes = job_metrics_.lost_bytes;
-  ctx_.result.recomputed_bytes = job_metrics_.recomputed_bytes;
-  ctx_.result.recovery_time_s = job_metrics_.recovery_time_s;
-  ctx_.result.fetch_retries = job_metrics_.fetch_retries;
-  ctx_.result.refetched_bytes = job_metrics_.refetched_bytes;
-  ctx_.result.checksum_failures = job_metrics_.checksum_failures;
-  ctx_.result.node_exclusions = job_metrics_.node_exclusions;
-  ctx_.result.oom_count = job_metrics_.oom_count;
-  ctx_.result.evicted_bytes = job_metrics_.evicted_bytes;
-  ctx_.result.spilled_bytes = job_metrics_.spilled_bytes;
-  ctx_.result.peak_resident_bytes = job_metrics_.peak_resident_bytes;
-  ctx_.result.resumed_stages = job_metrics_.resumed_stages;
-  ctx_.result.replayed_events = job_metrics_.replayed_events;
-  ctx_.result.restored_bytes = job_metrics_.restored_bytes;
-  ctx_.result.recovery_wall_s = job_metrics_.recovery_wall_s;
-  ctx_.result.cache_hits = job_metrics_.cache_hits;
-  ctx_.result.cache_misses = job_metrics_.cache_misses;
-  ctx_.result.recompute_saved_bytes = job_metrics_.recompute_saved_bytes;
-  ctx_.result.evictions_lru = job_metrics_.evictions_lru;
-  ctx_.result.evictions_cost = job_metrics_.evictions_cost;
-
-  job_metrics_.sim_time_s = ctx_.result.sim_time_s;
-  job_metrics_.wall_time_s = ctx_.result.wall_time_s;
-  if (tracing()) emit_job_finish(job_metrics_);
-  eng_.metrics_.add_job(std::move(job_metrics_));
+  finish();
   return std::move(ctx_.result);
 }
 
@@ -759,24 +731,7 @@ std::size_t JobRunner::adopt_restored() {
     // Fast-forward the virtual clock through the stage's makespan and
     // replay its metrics row (registry + job aggregates) bit-for-bit.
     set_now(row.sim_start_s + row.sim_time_s);
-    job_metrics_.stage_attempts += row.attempt_count;
-    job_metrics_.recomputed_tasks += row.recomputed_tasks;
-    job_metrics_.recomputed_bytes += row.recomputed_bytes;
-    job_metrics_.recovery_time_s += row.recovery_time_s;
-    job_metrics_.fetch_retries += row.fetch_retries;
-    job_metrics_.refetched_bytes += row.refetched_bytes;
-    job_metrics_.checksum_failures += row.checksum_failures;
-    job_metrics_.node_exclusions += row.node_exclusions;
-    job_metrics_.oom_count += row.oom_count;
-    job_metrics_.evicted_bytes += row.evicted_bytes;
-    job_metrics_.spilled_bytes += row.spilled_bytes;
-    job_metrics_.peak_resident_bytes =
-        std::max(job_metrics_.peak_resident_bytes, row.peak_resident_bytes);
-    job_metrics_.cache_hits += row.cache_hits;
-    job_metrics_.cache_misses += row.cache_misses;
-    job_metrics_.recompute_saved_bytes += row.recompute_saved_bytes;
-    job_metrics_.evictions_lru += row.evictions_lru;
-    job_metrics_.evictions_cost += row.evictions_cost;
+    fold_stage(job_metrics_, row);
     if (tracing()) emit_stage_end(s, row, Attempt{});
     eng_.metrics_.add_stage(std::move(row));
   }
@@ -799,121 +754,26 @@ std::size_t JobRunner::adopt_restored() {
   return k;
 }
 
-void JobRunner::emit_job_finish(const JobMetrics& jm) const {
-  obs::Event e;
-  e.kind = obs::EventKind::kJobFinish;
-  e.job = jm.job_id;
-  e.name = jm.name;
-  e.sim_time_s = jm.sim_time_s;
-  e.wall_time_s = jm.wall_time_s;
-  e.list.assign(jm.stage_ids.begin(), jm.stage_ids.end());
-  if (jm.failed) e.flags |= obs::kFlagFailed;
-  e.detail = jm.error;
-  e.stage_attempts = jm.stage_attempts;
-  e.recomputed_tasks = jm.recomputed_tasks;
-  e.lost_bytes = jm.lost_bytes;
-  e.recomputed_bytes = jm.recomputed_bytes;
-  e.recovery_time_s = jm.recovery_time_s;
-  e.fetch_retries = jm.fetch_retries;
-  e.refetched_bytes = jm.refetched_bytes;
-  e.checksum_failures = jm.checksum_failures;
-  e.node_exclusions = jm.node_exclusions;
-  e.oom_count = jm.oom_count;
-  e.evicted_bytes = jm.evicted_bytes;
-  e.spilled_bytes = jm.spilled_bytes;
-  e.peak_resident_bytes = jm.peak_resident_bytes;
-  e.resumed_stages = jm.resumed_stages;
-  e.replayed_events = jm.replayed_events;
-  e.restored_bytes = jm.restored_bytes;
-  e.recovery_wall_s = jm.recovery_wall_s;
-  e.cache_hits = jm.cache_hits;
-  e.cache_misses = jm.cache_misses;
-  e.recompute_saved_bytes = jm.recompute_saved_bytes;
-  e.evictions_lru = jm.evictions_lru;
-  e.evictions_cost = jm.evictions_cost;
-  emit(std::move(e));
-}
-
 void JobRunner::emit_stage_end(std::size_t s, const StageMetrics& sm,
                                const Attempt& a) const {
-  // One span per committed task. Span times are stage-window-relative (the
-  // exporter and replay add sim_start_s); fields mirror TaskMetrics exactly
-  // so replay is bit-identical.
+  // One span per committed task, then the closing stage record: together
+  // they carry the whole row, so a HistoryReader rebuilds it bit-for-bit.
+  // Span times are stage-window-relative (the exporter and replay add
+  // sim_start_s).
   for (std::size_t p = 0; p < sm.tasks.size(); ++p) {
-    const TaskMetrics& tm = sm.tasks[p];
-    obs::Event e;
-    e.kind = obs::EventKind::kTaskSpan;
+    obs::Event e = obs::task_to_event(sm.tasks[p]);
     e.job = sm.job_id;
     e.stage = sm.stage_id;
     e.plan_index = s;
-    e.task = tm.task_index;
-    e.node = tm.node;
     e.slot = p < a.slots.size() ? a.slots[p] : 0;
-    e.attempt = tm.attempts;
-    e.fetch_retries = tm.fetch_retries;
-    e.t_start = tm.sim_start;
-    e.t_end = tm.sim_end;
-    e.compute_s = tm.compute_s;
-    e.fetch_s = tm.fetch_s;
-    e.records_in = tm.records_in;
-    e.records_out = tm.records_out;
-    e.bytes_in = tm.bytes_in;
-    e.bytes_out = tm.bytes_out;
-    e.shuffle_read_remote = tm.shuffle_read_remote;
-    e.shuffle_read_local = tm.shuffle_read_local;
-    if (tm.shuffle_read_remote > 0) e.flags |= obs::kFlagRemoteFetch;
-    if (tm.shuffle_read_local > 0) e.flags |= obs::kFlagLocalFetch;
     if (p < a.spill_modeled.size() && a.spill_modeled[p] > 0.0) {
       e.flags |= obs::kFlagSpilled;
       e.spilled_bytes = static_cast<std::uint64_t>(a.spill_modeled[p]);
     }
     emit(std::move(e));
   }
-
-  // The closing stage record carries every scalar StageMetrics field, so a
-  // HistoryReader can rebuild the row without the live run.
-  obs::Event e;
-  e.kind = obs::EventKind::kStageEnd;
-  e.job = sm.job_id;
-  e.stage = sm.stage_id;
+  obs::Event e = obs::stage_to_event(sm);
   e.plan_index = s;
-  e.signature = sm.signature;
-  e.name = sm.name;
-  if (sm.is_shuffle_map) e.flags |= obs::kFlagShuffleMap;
-  if (sm.fixed_partitions) e.flags |= obs::kFlagFixedPartitions;
-  if (sm.user_fixed) e.flags |= obs::kFlagUserFixed;
-  e.num_partitions = sm.num_partitions;
-  e.partitioner = static_cast<std::uint64_t>(sm.partitioner);
-  e.anchor_op = static_cast<std::uint64_t>(sm.anchor_op);
-  e.list = sm.parent_signatures;
-  e.records_in = sm.input_records;
-  e.bytes_in = sm.input_bytes;
-  e.records_out = sm.output_records;
-  e.bytes_out = sm.output_bytes;
-  e.shuffle_read_bytes = sm.shuffle_read_bytes;
-  e.shuffle_write_bytes = sm.shuffle_write_bytes;
-  e.attempt = sm.attempt_count;
-  e.recomputed_tasks = sm.recomputed_tasks;
-  e.recomputed_bytes = sm.recomputed_bytes;
-  e.recovery_time_s = sm.recovery_time_s;
-  e.fetch_retries = sm.fetch_retries;
-  e.refetched_bytes = sm.refetched_bytes;
-  e.checksum_failures = sm.checksum_failures;
-  e.node_exclusions = sm.node_exclusions;
-  e.oom_count = sm.oom_count;
-  e.list2.assign(sm.oomed_partition_counts.begin(),
-                 sm.oomed_partition_counts.end());
-  e.evicted_bytes = sm.evicted_bytes;
-  e.spilled_bytes = sm.spilled_bytes;
-  e.peak_resident_bytes = sm.peak_resident_bytes;
-  e.cache_hits = sm.cache_hits;
-  e.cache_misses = sm.cache_misses;
-  e.recompute_saved_bytes = sm.recompute_saved_bytes;
-  e.evictions_lru = sm.evictions_lru;
-  e.evictions_cost = sm.evictions_cost;
-  e.sim_time_s = sm.sim_time_s;
-  e.sim_start_s = sm.sim_start_s;
-  e.wall_time_s = sm.wall_time_s;
   emit(std::move(e));
 }
 
@@ -967,10 +827,7 @@ void JobRunner::run_stage(std::size_t s) {
 
   // Ledger totals at stage entry: the deltas at exit attribute evictions and
   // disk-tier spills (wherever in the engine they fired) to this stage.
-  const std::uint64_t evicted0 = eng_.mem_ledger_.total_evicted();
-  const std::uint64_t spilled0 = eng_.mem_ledger_.total_spilled();
-  const std::size_t ev_lru0 = eng_.mem_ledger_.total_evictions_lru();
-  const std::size_t ev_cost0 = eng_.mem_ledger_.total_evictions_cost();
+  const NodeMemoryStats mem0 = eng_.mem_ledger_.totals();
 
   Attempt a;
   std::size_t consecutive_oom = 0;
@@ -1139,29 +996,13 @@ void JobRunner::run_stage(std::size_t s) {
   // its cached input (if any) is released.
   a.cache_pin.reset();
   if (mem_) eng_.block_manager_.enforce_budget();
-  sm.evicted_bytes += eng_.mem_ledger_.total_evicted() - evicted0;
-  sm.spilled_bytes += eng_.mem_ledger_.total_spilled() - spilled0;
-  sm.evictions_lru += eng_.mem_ledger_.total_evictions_lru() - ev_lru0;
-  sm.evictions_cost += eng_.mem_ledger_.total_evictions_cost() - ev_cost0;
+  const NodeMemoryStats mem1 = eng_.mem_ledger_.totals();
+  sm.evicted_bytes += mem1.evicted_bytes - mem0.evicted_bytes;
+  sm.spilled_bytes += mem1.spilled_bytes - mem0.spilled_bytes;
+  sm.evictions_lru += mem1.evictions_lru - mem0.evictions_lru;
+  sm.evictions_cost += mem1.evictions_cost - mem0.evictions_cost;
 
-  job_metrics_.stage_attempts += sm.attempt_count;
-  job_metrics_.recomputed_tasks += sm.recomputed_tasks;
-  job_metrics_.recomputed_bytes += sm.recomputed_bytes;
-  job_metrics_.recovery_time_s += sm.recovery_time_s;
-  job_metrics_.fetch_retries += sm.fetch_retries;
-  job_metrics_.refetched_bytes += sm.refetched_bytes;
-  job_metrics_.checksum_failures += sm.checksum_failures;
-  job_metrics_.node_exclusions += sm.node_exclusions;
-  job_metrics_.oom_count += sm.oom_count;
-  job_metrics_.evicted_bytes += sm.evicted_bytes;
-  job_metrics_.spilled_bytes += sm.spilled_bytes;
-  job_metrics_.peak_resident_bytes =
-      std::max(job_metrics_.peak_resident_bytes, sm.peak_resident_bytes);
-  job_metrics_.cache_hits += sm.cache_hits;
-  job_metrics_.cache_misses += sm.cache_misses;
-  job_metrics_.recompute_saved_bytes += sm.recompute_saved_bytes;
-  job_metrics_.evictions_lru += sm.evictions_lru;
-  job_metrics_.evictions_cost += sm.evictions_cost;
+  fold_stage(job_metrics_, sm);
   // Stage barrier hook: kStageEnd is delivered to sinks synchronously, so an
   // in-process sink (src/adapt's AdaptiveController) runs to completion here
   // — any plan-provider patch it makes is visible to every scheme still

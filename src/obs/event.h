@@ -8,6 +8,10 @@
 // compact while the in-memory type stays trivially copyable bookkeeping
 // (plus three small containers) that needs no visitor machinery.
 //
+// Metrics rows travel as kTaskSpan / kStageEnd / kJobFinish events. The
+// counters those rows share are declared from one list (obs/row_counters.h);
+// obs/history.h holds the row <-> event mapping in both directions.
+//
 // Ordering contract: `seq` is a per-EventLog monotone counter assigned at
 // emit time. Sinks may persist events out of seq order (the JSONL sink is
 // lock-striped), so readers must sort by seq before interpreting a log;
@@ -22,6 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/row_counters.h"
 
 namespace chopper::obs {
 
@@ -115,7 +121,6 @@ struct Event {
   double sim_time_s = 0.0;
   double sim_start_s = 0.0;
   double wall_time_s = 0.0;
-  double recovery_time_s = 0.0;
   double value = 0.0;   ///< generic scalar: plan cost, grant duration, ...
   double value2 = 0.0;  ///< second scalar: gamma gate, input bytes, ...
 
@@ -133,18 +138,8 @@ struct Event {
   std::uint64_t partitioner = 0;  ///< engine::PartitionerKind as integer
   std::uint64_t anchor_op = 0;    ///< engine::OpKind as integer
   std::uint64_t count = 0;        ///< generic count for one-count kinds
-  std::uint64_t oom_count = 0;
   std::uint64_t stage_attempts = 0;
-  std::uint64_t recomputed_tasks = 0;
-  std::uint64_t recomputed_bytes = 0;
   std::uint64_t lost_bytes = 0;
-  std::uint64_t evicted_bytes = 0;
-  std::uint64_t spilled_bytes = 0;
-  std::uint64_t peak_resident_bytes = 0;
-  std::uint64_t fetch_retries = 0;
-  std::uint64_t refetched_bytes = 0;
-  std::uint64_t checksum_failures = 0;
-  std::uint64_t node_exclusions = 0;
   std::uint64_t p_min = 0;
   // Resume telemetry (kResume / kJobFinish). Like wall_time_s, these are
   // provenance, not results: identity digests must exclude them (a resumed
@@ -153,13 +148,13 @@ struct Event {
   std::uint64_t replayed_events = 0;   ///< WAL events decoded during recovery
   std::uint64_t restored_bytes = 0;    ///< block-file payload bytes restored
   double recovery_wall_s = 0.0;        ///< host seconds spent recovering
-  // Cache telemetry (kStageEnd / kJobFinish; DESIGN.md §17).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t recompute_saved_bytes = 0;
-  std::uint64_t evictions_lru = 0;
-  std::uint64_t evictions_cost = 0;
   std::int64_t group = -1;  ///< optimizer co-partition group (-1: none)
+
+  // -- row counters (obs/row_counters.h) ---------------------------------
+  // The counters StageMetrics and JobMetrics share, under their names;
+  // kStageEnd / kJobFinish carry all of them. kTaskSpan reuses
+  // `fetch_retries` and `spilled_bytes` for the task's own share.
+  CHOPPER_ROW_COUNTERS(CHOPPER_ROW_COUNTER_WIRE_MEMBER)
 
   // -- strings / lists ---------------------------------------------------
   std::string name;    ///< job/stage/pool/workload/dataset label

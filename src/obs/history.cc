@@ -3,108 +3,148 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 
 #include "obs/jsonl.h"
 
 namespace chopper::obs {
 
+// -- row <-> event mapping ----------------------------------------------------
+//
+// One line per row field that an event carries under its own name: X(row
+// member, Event member). Encoder and decoder expand the same table, so the
+// two directions cannot drift apart. Flag bits are mapped the same way; the
+// shared row counters come from obs/row_counters.h.
+
+#define CHOPPER_TASK_FIELDS(X)                \
+  X(task_index, task)                         \
+  X(node, node)                               \
+  X(sim_start, t_start)                       \
+  X(sim_end, t_end)                           \
+  X(compute_s, compute_s)                     \
+  X(fetch_s, fetch_s)                         \
+  X(attempts, attempt)                        \
+  X(fetch_retries, fetch_retries)             \
+  X(records_in, records_in)                   \
+  X(records_out, records_out)                 \
+  X(bytes_in, bytes_in)                       \
+  X(bytes_out, bytes_out)                     \
+  X(shuffle_read_remote, shuffle_read_remote) \
+  X(shuffle_read_local, shuffle_read_local)
+
+#define CHOPPER_STAGE_FIELDS(X)               \
+  X(stage_id, stage)                          \
+  X(job_id, job)                              \
+  X(signature, signature)                     \
+  X(name, name)                               \
+  X(num_partitions, num_partitions)           \
+  X(partitioner, partitioner)                 \
+  X(anchor_op, anchor_op)                     \
+  X(parent_signatures, list)                  \
+  X(input_records, records_in)                \
+  X(input_bytes, bytes_in)                    \
+  X(output_records, records_out)              \
+  X(output_bytes, bytes_out)                  \
+  X(shuffle_read_bytes, shuffle_read_bytes)   \
+  X(shuffle_write_bytes, shuffle_write_bytes) \
+  X(attempt_count, attempt)                   \
+  X(oomed_partition_counts, list2)            \
+  X(sim_time_s, sim_time_s)                   \
+  X(sim_start_s, sim_start_s)                 \
+  X(wall_time_s, wall_time_s)
+
+#define CHOPPER_STAGE_FLAGS(X)              \
+  X(is_shuffle_map, kFlagShuffleMap)        \
+  X(fixed_partitions, kFlagFixedPartitions) \
+  X(user_fixed, kFlagUserFixed)
+
+#define CHOPPER_JOB_FIELDS(X)         \
+  X(job_id, job)                      \
+  X(name, name)                       \
+  X(sim_time_s, sim_time_s)           \
+  X(wall_time_s, wall_time_s)         \
+  X(stage_ids, list)                  \
+  X(error, detail)                    \
+  X(stage_attempts, stage_attempts)   \
+  X(lost_bytes, lost_bytes)           \
+  X(resumed_stages, resumed_stages)   \
+  X(replayed_events, replayed_events) \
+  X(restored_bytes, restored_bytes)   \
+  X(recovery_wall_s, recovery_wall_s)
+
+#define CHOPPER_JOB_FLAGS(X) X(failed, kFlagFailed)
+
+namespace {
+
+/// Numbers and enums convert by value; strings and lists element-wise.
+template <class To, class From>
+To convert(const From& v) {
+  if constexpr (std::is_scalar_v<From>) {
+    return static_cast<To>(v);
+  } else {
+    return To(v.begin(), v.end());
+  }
+}
+
+}  // namespace
+
+#define CHOPPER_TO_EVENT(field, event_field) \
+  e.event_field = convert<decltype(e.event_field)>(row.field);
+#define CHOPPER_FROM_EVENT(field, event_field) \
+  row.field = convert<decltype(row.field)>(e.event_field);
+#define CHOPPER_FLAG_TO_EVENT(field, bit) if (row.field) e.flags |= bit;
+#define CHOPPER_FLAG_FROM_EVENT(field, bit) row.field = (e.flags & bit) != 0;
+
+Event task_to_event(const engine::TaskMetrics& row) {
+  Event e;
+  e.kind = EventKind::kTaskSpan;
+  CHOPPER_TASK_FIELDS(CHOPPER_TO_EVENT)
+  if (row.shuffle_read_remote > 0) e.flags |= kFlagRemoteFetch;
+  if (row.shuffle_read_local > 0) e.flags |= kFlagLocalFetch;
+  return e;
+}
+
 engine::TaskMetrics task_from_event(const Event& e) {
-  engine::TaskMetrics tm;
-  tm.task_index = static_cast<std::size_t>(e.task);
-  tm.node = static_cast<std::size_t>(e.node);
-  tm.sim_start = e.t_start;
-  tm.sim_end = e.t_end;
-  tm.compute_s = e.compute_s;
-  tm.fetch_s = e.fetch_s;
-  tm.attempts = static_cast<std::size_t>(e.attempt);
-  tm.fetch_retries = static_cast<std::size_t>(e.fetch_retries);
-  tm.records_in = e.records_in;
-  tm.records_out = e.records_out;
-  tm.bytes_in = e.bytes_in;
-  tm.bytes_out = e.bytes_out;
-  tm.shuffle_read_remote = e.shuffle_read_remote;
-  tm.shuffle_read_local = e.shuffle_read_local;
-  return tm;
+  engine::TaskMetrics row;
+  CHOPPER_TASK_FIELDS(CHOPPER_FROM_EVENT)
+  return row;
+}
+
+Event stage_to_event(const engine::StageMetrics& row) {
+  Event e;
+  e.kind = EventKind::kStageEnd;
+  CHOPPER_STAGE_FIELDS(CHOPPER_TO_EVENT)
+  CHOPPER_STAGE_FLAGS(CHOPPER_FLAG_TO_EVENT)
+  copy_row_counters(e, row);
+  return e;
 }
 
 engine::StageMetrics stage_from_event(const Event& e,
                                       std::vector<engine::TaskMetrics> tasks) {
-  engine::StageMetrics sm;
-  sm.stage_id = static_cast<std::size_t>(e.stage);
-  sm.job_id = static_cast<std::size_t>(e.job);
-  sm.signature = e.signature;
-  sm.name = e.name;
-  sm.is_shuffle_map = (e.flags & kFlagShuffleMap) != 0;
-  sm.num_partitions = static_cast<std::size_t>(e.num_partitions);
-  sm.partitioner = static_cast<engine::PartitionerKind>(e.partitioner);
-  sm.anchor_op = static_cast<engine::OpKind>(e.anchor_op);
-  sm.parent_signatures = e.list;
-  sm.fixed_partitions = (e.flags & kFlagFixedPartitions) != 0;
-  sm.user_fixed = (e.flags & kFlagUserFixed) != 0;
-  sm.input_records = e.records_in;
-  sm.input_bytes = e.bytes_in;
-  sm.output_records = e.records_out;
-  sm.output_bytes = e.bytes_out;
-  sm.shuffle_read_bytes = e.shuffle_read_bytes;
-  sm.shuffle_write_bytes = e.shuffle_write_bytes;
-  sm.attempt_count = static_cast<std::size_t>(e.attempt);
-  sm.recomputed_tasks = static_cast<std::size_t>(e.recomputed_tasks);
-  sm.recomputed_bytes = e.recomputed_bytes;
-  sm.recovery_time_s = e.recovery_time_s;
-  sm.fetch_retries = static_cast<std::size_t>(e.fetch_retries);
-  sm.refetched_bytes = e.refetched_bytes;
-  sm.checksum_failures = static_cast<std::size_t>(e.checksum_failures);
-  sm.node_exclusions = static_cast<std::size_t>(e.node_exclusions);
-  sm.oom_count = static_cast<std::size_t>(e.oom_count);
-  sm.oomed_partition_counts.assign(e.list2.begin(), e.list2.end());
-  sm.evicted_bytes = e.evicted_bytes;
-  sm.spilled_bytes = e.spilled_bytes;
-  sm.peak_resident_bytes = e.peak_resident_bytes;
-  sm.cache_hits = static_cast<std::size_t>(e.cache_hits);
-  sm.cache_misses = static_cast<std::size_t>(e.cache_misses);
-  sm.recompute_saved_bytes = e.recompute_saved_bytes;
-  sm.evictions_lru = static_cast<std::size_t>(e.evictions_lru);
-  sm.evictions_cost = static_cast<std::size_t>(e.evictions_cost);
-  sm.sim_time_s = e.sim_time_s;
-  sm.sim_start_s = e.sim_start_s;
-  sm.wall_time_s = e.wall_time_s;
-  sm.tasks = std::move(tasks);
-  return sm;
+  engine::StageMetrics row;
+  CHOPPER_STAGE_FIELDS(CHOPPER_FROM_EVENT)
+  CHOPPER_STAGE_FLAGS(CHOPPER_FLAG_FROM_EVENT)
+  copy_row_counters(row, e);
+  row.tasks = std::move(tasks);
+  return row;
+}
+
+Event job_to_event(const engine::JobMetrics& row) {
+  Event e;
+  e.kind = EventKind::kJobFinish;
+  CHOPPER_JOB_FIELDS(CHOPPER_TO_EVENT)
+  CHOPPER_JOB_FLAGS(CHOPPER_FLAG_TO_EVENT)
+  copy_row_counters(e, row);
+  return e;
 }
 
 engine::JobMetrics job_from_event(const Event& e) {
-  engine::JobMetrics jm;
-  jm.job_id = static_cast<std::size_t>(e.job);
-  jm.name = e.name;
-  jm.sim_time_s = e.sim_time_s;
-  jm.wall_time_s = e.wall_time_s;
-  jm.stage_ids.assign(e.list.begin(), e.list.end());
-  jm.failed = (e.flags & kFlagFailed) != 0;
-  jm.error = e.detail;
-  jm.stage_attempts = static_cast<std::size_t>(e.stage_attempts);
-  jm.recomputed_tasks = static_cast<std::size_t>(e.recomputed_tasks);
-  jm.lost_bytes = e.lost_bytes;
-  jm.recomputed_bytes = e.recomputed_bytes;
-  jm.recovery_time_s = e.recovery_time_s;
-  jm.fetch_retries = static_cast<std::size_t>(e.fetch_retries);
-  jm.refetched_bytes = e.refetched_bytes;
-  jm.checksum_failures = static_cast<std::size_t>(e.checksum_failures);
-  jm.node_exclusions = static_cast<std::size_t>(e.node_exclusions);
-  jm.oom_count = static_cast<std::size_t>(e.oom_count);
-  jm.evicted_bytes = e.evicted_bytes;
-  jm.spilled_bytes = e.spilled_bytes;
-  jm.peak_resident_bytes = e.peak_resident_bytes;
-  jm.resumed_stages = static_cast<std::size_t>(e.resumed_stages);
-  jm.replayed_events = e.replayed_events;
-  jm.restored_bytes = e.restored_bytes;
-  jm.recovery_wall_s = e.recovery_wall_s;
-  jm.cache_hits = static_cast<std::size_t>(e.cache_hits);
-  jm.cache_misses = static_cast<std::size_t>(e.cache_misses);
-  jm.recompute_saved_bytes = e.recompute_saved_bytes;
-  jm.evictions_lru = static_cast<std::size_t>(e.evictions_lru);
-  jm.evictions_cost = static_cast<std::size_t>(e.evictions_cost);
-  return jm;
+  engine::JobMetrics row;
+  CHOPPER_JOB_FIELDS(CHOPPER_FROM_EVENT)
+  CHOPPER_JOB_FLAGS(CHOPPER_FLAG_FROM_EVENT)
+  copy_row_counters(row, e);
+  return row;
 }
 
 HistoryReader::HistoryReader(std::vector<Event> events)
@@ -167,30 +207,42 @@ HistoryReader HistoryReader::load(const std::string& path) {
   return r;
 }
 
-void HistoryReader::replay_into(engine::MetricsRegistry& registry) const {
-  std::unordered_map<std::uint64_t, std::vector<engine::TaskMetrics>> spans;
-  for (const Event& e : events_) {
-    switch (e.kind) {
-      case EventKind::kTaskSpan:
-        spans[e.stage].push_back(task_from_event(e));
-        break;
-      case EventKind::kStageEnd: {
-        auto it = spans.find(e.stage);
-        std::vector<engine::TaskMetrics> tasks;
-        if (it != spans.end()) {
-          tasks = std::move(it->second);
-          spans.erase(it);
-        }
-        registry.add_stage(stage_from_event(e, std::move(tasks)));
-        break;
+namespace {
+
+/// Task spans buffered per global stage id until their kStageEnd arrives.
+using SpanBuffer =
+    std::unordered_map<std::uint64_t, std::vector<engine::TaskMetrics>>;
+
+/// Replay one event into `registry`: a kStageEnd commits its stage row with
+/// the spans buffered for it, a kJobFinish commits its job row.
+void replay_row(const Event& e, SpanBuffer& spans,
+                engine::MetricsRegistry& registry) {
+  switch (e.kind) {
+    case EventKind::kTaskSpan:
+      spans[e.stage].push_back(task_from_event(e));
+      break;
+    case EventKind::kStageEnd: {
+      std::vector<engine::TaskMetrics> tasks;
+      if (const auto it = spans.find(e.stage); it != spans.end()) {
+        tasks = std::move(it->second);
+        spans.erase(it);
       }
-      case EventKind::kJobFinish:
-        registry.add_job(job_from_event(e));
-        break;
-      default:
-        break;
+      registry.add_stage(stage_from_event(e, std::move(tasks)));
+      break;
     }
+    case EventKind::kJobFinish:
+      registry.add_job(job_from_event(e));
+      break;
+    default:
+      break;
   }
+}
+
+}  // namespace
+
+void HistoryReader::replay_into(engine::MetricsRegistry& registry) const {
+  SpanBuffer spans;
+  for (const Event& e : events_) replay_row(e, spans, registry);
 }
 
 std::vector<engine::StageMetrics> HistoryReader::stages() const {
@@ -223,34 +275,16 @@ std::vector<std::uint64_t> HistoryReader::cluster_memory() const {
 
 std::size_t HistoryReader::for_each_ingest(const IngestFn& fn) const {
   engine::MetricsRegistry run;
-  std::unordered_map<std::uint64_t, std::vector<engine::TaskMetrics>> spans;
+  SpanBuffer spans;
   std::size_t markers = 0;
   for (const Event& e : events_) {
-    switch (e.kind) {
-      case EventKind::kTaskSpan:
-        spans[e.stage].push_back(task_from_event(e));
-        break;
-      case EventKind::kStageEnd: {
-        auto it = spans.find(e.stage);
-        std::vector<engine::TaskMetrics> tasks;
-        if (it != spans.end()) {
-          tasks = std::move(it->second);
-          spans.erase(it);
-        }
-        run.add_stage(stage_from_event(e, std::move(tasks)));
-        break;
-      }
-      case EventKind::kJobFinish:
-        run.add_job(job_from_event(e));
-        break;
-      case EventKind::kCollectorIngest:
-        ++markers;
-        fn(run, e.name, e.value, (e.flags & kFlagDefaultRun) != 0);
-        run.clear();
-        break;
-      default:
-        break;
+    if (e.kind != EventKind::kCollectorIngest) {
+      replay_row(e, spans, run);
+      continue;
     }
+    ++markers;
+    fn(run, e.name, e.value, (e.flags & kFlagDefaultRun) != 0);
+    run.clear();
   }
   return markers;
 }

@@ -77,12 +77,24 @@ class HistoryReader {
   std::size_t torn_tail_ = 0;
 };
 
+// Row <-> event mapping, encoder beside decoder: from_event(to_event(row))
+// == row. The emitter adds its context (`plan_index`; a task span's `job`,
+// `stage` and `slot`); a stage's task rows travel as their own kTaskSpans.
+
+/// kTaskSpan event for one committed task (remote/local fetch flags set).
+Event task_to_event(const engine::TaskMetrics& tm);
+/// Decode one kTaskSpan event into its TaskMetrics row.
+engine::TaskMetrics task_from_event(const Event& e);
+
+/// kStageEnd event carrying every StageMetrics field but `tasks`.
+Event stage_to_event(const engine::StageMetrics& sm);
 /// Decode one kStageEnd event (plus its buffered task spans) back into the
 /// StageMetrics row the live run committed.
 engine::StageMetrics stage_from_event(const Event& e,
                                       std::vector<engine::TaskMetrics> tasks);
-/// Decode one kTaskSpan event into its TaskMetrics row.
-engine::TaskMetrics task_from_event(const Event& e);
+
+/// kJobFinish event carrying every JobMetrics field.
+Event job_to_event(const engine::JobMetrics& jm);
 /// Decode one kJobFinish event into its JobMetrics row.
 engine::JobMetrics job_from_event(const Event& e);
 

@@ -134,20 +134,20 @@ JobHandle JobServer::submit(const engine::DatasetPtr& ds, SubmitOptions opts) {
   rec->ds = ds;
   rec->opts = std::move(opts);
 
-  // Register the adaptive gate before the job can emit its first event, so
-  // the controller's kJobSubmit resolution sees the per-job choice.
-  {
-    std::lock_guard plock(plan_mu_);
-    if (adaptive_ != nullptr) {
-      adaptive_->set_job_enabled(rec->opts.name, rec->opts.adapt);
-    }
-  }
-
   std::lock_guard lock(mu_);
   if (shutting_down_) {
     throw std::runtime_error("JobServer: submit after shutdown");
   }
   rec->seq = next_seq_++;
+  // Register the adaptive gate under the job's id before the job can emit
+  // its first event, so the controller's kJobSubmit resolution sees this
+  // job's choice (jobs sharing a name may differ in `adapt`).
+  {
+    std::lock_guard plock(plan_mu_);
+    if (adaptive_ != nullptr) {
+      adaptive_->set_job_enabled(rec->seq, rec->opts.adapt);
+    }
+  }
   rec->stats.submit_vtime = ledger_.now();
 
   if (running_ < options_.max_concurrent_jobs) {

@@ -141,7 +141,7 @@ class JobServer {
 
   /// Attach an in-flight adaptive controller (src/adapt). The server flips
   /// the controller's default gate to disabled and registers every submitted
-  /// job's name with its SubmitOptions::adapt choice, so only opted-in jobs
+  /// job's id with its SubmitOptions::adapt choice, so only opted-in jobs
   /// feed re-planning. The caller still attaches the controller to the
   /// engine's event log (that is where the statistics flow from).
   void set_adaptive(std::shared_ptr<adapt::AdaptiveController> controller);
@@ -180,7 +180,8 @@ class JobServer {
   std::vector<std::thread> workers_;
   bool shutting_down_ = false;
 
-  /// Adaptive re-planning hookup (null: serving is plan-static).
+  /// Adaptive re-planning hookup (null: serving is plan-static). Lock order:
+  /// mu_ before plan_mu_ (submit registers the gate under both).
   mutable std::mutex plan_mu_;
   std::shared_ptr<adapt::AdaptiveController> adaptive_;
   mutable common::KvConfig plan_cache_;

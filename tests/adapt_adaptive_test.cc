@@ -114,7 +114,7 @@ TEST(AdaptiveController, PerJobGatingFollowsOverridesAndDefault) {
                                 std::make_shared<core::ConfigPlanProvider>(),
                                 common::KvConfig{});
   controller.set_default_enabled(false);
-  controller.set_job_enabled("tenant-b", true);
+  controller.set_job_enabled(2, true);
 
   const auto stage_end = [](std::uint64_t job) {
     obs::Event e;
@@ -149,6 +149,23 @@ TEST(AdaptiveController, PerJobGatingFollowsOverridesAndDefault) {
   controller.set_default_enabled(true);
   controller.append(stage_end(4));
   EXPECT_EQ(controller.stats().observations, 2u);
+
+  // Jobs that share a name keep their own gates: both register before
+  // either kJobSubmit, and only the opted-in job folds.
+  controller.set_default_enabled(false);
+  controller.set_job_enabled(5, true);
+  controller.set_job_enabled(6, false);
+  controller.append(submit(5, "tenant-c"));
+  controller.append(submit(6, "tenant-c"));
+  controller.append(stage_end(5));
+  controller.append(stage_end(6));
+  EXPECT_EQ(controller.stats().observations, 3u);
+
+  // kJobSubmit consumes the override: a later job drawing the same id (a
+  // reset engine) follows the default again.
+  controller.append(submit(5, "tenant-c"));
+  controller.append(stage_end(5));
+  EXPECT_EQ(controller.stats().observations, 3u);
 }
 
 TEST(AdaptiveController, FeasibilityAdoptionLiftsPartitionFloor) {

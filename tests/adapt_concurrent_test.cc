@@ -2,10 +2,13 @@
 // multi-tenant JobServer's live event stream while clients submit from many
 // threads and readers poll stats()/adapted_config()/current_plan(). The
 // data-race surface the TSan lane exists for: controller mutex vs engine
-// worker threads vs the service layer's epoch-keyed plan cache.
+// worker threads vs the service layer's epoch-keyed plan cache. The gate
+// that admits a job's statistics is keyed by job id, so tenants that share
+// a job name but differ in SubmitOptions::adapt never overwrite each other.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "adapt/adaptive.h"
 #include "chopper/chopper.h"
 #include "chopper/config_plan.h"
+#include "common/kv_config.h"
 #include "engine/engine.h"
 #include "obs/event_log.h"
 #include "service/job_server.h"
@@ -135,16 +139,62 @@ TEST(AdaptConcurrent, ServeWithControllerUnderConcurrentSubmitters) {
 
   EXPECT_EQ(failures.load(), 0);
   const AdaptStats stats = controller->stats();
-  // Only the opted-in tenants' stages fold (2 stages per job).
-  EXPECT_GT(stats.observations, 0u);
-  EXPECT_LE(stats.observations,
-            static_cast<std::size_t>(kThreads * kJobsPerThread * 2));
+  // Exactly the opted-in tenants' stages fold (2 stages per job), however
+  // the same-name submits interleave.
+  EXPECT_EQ(stats.observations,
+            static_cast<std::size_t>(kThreads / 2 * kJobsPerThread * 2));
   // The service plan cache serves a coherent snapshot after the run.
   const common::KvConfig plan = server.current_plan();
   const core::ParsedPlan parsed = core::parse_plan_config(plan);
   for (const auto& [sig, scheme] : parsed.schemes) {
     EXPECT_GT(scheme.num_partitions, 0u) << "stage " << sig;
   }
+}
+
+TEST(AdaptConcurrent, SameNameSubmitsKeepTheirOwnGate) {
+  core::Chopper online(ClusterSpec::uniform(2, 4), micro_options());
+  auto controller = std::make_shared<AdaptiveController>(
+      online, kWorkload, std::make_shared<core::ConfigPlanProvider>(),
+      common::KvConfig{});
+  obs::EventLog log;
+  log.attach(controller);
+
+  Engine eng(ClusterSpec::uniform(2, 4), micro_options().engine_options);
+  eng.set_event_log(&log);
+  service::JobServerOptions sopts;
+  sopts.max_concurrent_jobs = 1;
+  service::JobServer server(eng, sopts);
+  server.set_adaptive(controller);
+
+  // A blocker job holds the only slot, so both same-name jobs below register
+  // their gates before either one's kJobSubmit fires.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto blocker = Dataset::source(
+      "serve.block", 2, [released](std::size_t, std::size_t) {
+        released.wait();
+        return engine::Partition{};
+      });
+  service::SubmitOptions b;
+  b.name = "blocker";
+  auto hb = server.submit(blocker, b);
+
+  service::SubmitOptions in;
+  in.name = kWorkload;
+  in.adapt = true;
+  service::SubmitOptions out = in;
+  out.adapt = false;
+  auto h_in = server.submit(micro_job(4000), in);
+  auto h_out = server.submit(micro_job(4000), out);
+  release.set_value();
+  server.wait_all();
+  log.detach_all();
+
+  EXPECT_NO_THROW(hb.wait());
+  EXPECT_GT(h_in.wait().count, 0u);
+  EXPECT_GT(h_out.wait().count, 0u);
+  // Only the opted-in job's two stages fold.
+  EXPECT_EQ(controller->stats().observations, 2u);
 }
 
 }  // namespace

@@ -252,7 +252,7 @@ TEST(CostEviction, PlannerPinnedSurvivesZeroBudget) {
   const auto p1 = bm.pin(1);
   ASSERT_TRUE(p1);
   EXPECT_TRUE(p1->complete());
-  EXPECT_EQ(ledger.total_evicted(), 0u);
+  EXPECT_EQ(ledger.totals().evicted_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +437,8 @@ TEST(CachePlanEngine, PinnedSetSurvivesOomKillRetry) {
   } catch (const std::exception&) {
     // Aborted after the attempt budget: the engine stays usable.
   }
-  EXPECT_GT(eng.memory_ledger().total_ooms(), 0u);  // the pressure was real
+  // The pressure was real.
+  EXPECT_GT(eng.memory_ledger().totals().oom_count, 0u);
 
   const auto pin = eng.block_manager().pin(hot->id());
   ASSERT_TRUE(pin);

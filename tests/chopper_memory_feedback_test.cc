@@ -348,7 +348,7 @@ TEST(KMeansMemoryFeedback, OomRetryThenChopperPlansFeasible) {
   std::size_t planned_ooms = 0;
   for (const auto& j : opt_eng->metrics().jobs()) planned_ooms += j.oom_count;
   EXPECT_EQ(planned_ooms, 0u);
-  EXPECT_EQ(opt_eng->memory_ledger().total_ooms(), 0u);
+  EXPECT_EQ(opt_eng->memory_ledger().totals().oom_count, 0u);
 }
 
 }  // namespace

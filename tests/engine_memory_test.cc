@@ -152,18 +152,18 @@ TEST(BlockManagerEviction, LruEvictsUnpinnedAndSkipsPinned) {
   BlockManager::Pin d2 = bm.pin(2);
   EXPECT_FALSE(d1->complete());
   EXPECT_TRUE(d2->complete());
-  EXPECT_EQ(ledger.total_evicted(), ledger.snapshot()[0].evicted_bytes);
-  EXPECT_GT(ledger.total_evicted(), 0u);
+  EXPECT_EQ(ledger.totals().evicted_bytes, ledger.snapshot()[0].evicted_bytes);
+  EXPECT_GT(ledger.totals().evicted_bytes, 0u);
   EXPECT_LE(bm.used_bytes(0), one_dataset_node0);
 
   // Pinned datasets are untouchable: shrink the budget to zero while both
   // are pinned — nothing further may be evicted from dataset 2 (dataset 1's
   // node-0 partitions are already gone).
-  const auto evicted_before = ledger.total_evicted();
+  const auto evicted_before = ledger.totals().evicted_bytes;
   bm.configure_budget({0, 0}, &ledger, 1.0);
   bm.enforce_budget();
   EXPECT_TRUE(d2->complete());
-  EXPECT_EQ(ledger.total_evicted(), evicted_before);
+  EXPECT_EQ(ledger.totals().evicted_bytes, evicted_before);
 
   // Released pins make them evictable again.
   d1.reset();
@@ -219,10 +219,10 @@ TEST(MemoryBudget, EvictedCacheHealsFromLineage) {
   Engine eng(two_nodes(per_node + per_node / 2), tight);
   const auto got_a1 = sorted_kv(eng.collect(a).records);
   EXPECT_EQ(got_a1, want_a);
-  EXPECT_EQ(eng.memory_ledger().total_evicted(), 0u);
+  EXPECT_EQ(eng.memory_ledger().totals().evicted_bytes, 0u);
 
   const auto res_b = eng.collect(b);  // pushes A (LRU-oldest) out
-  EXPECT_GT(eng.memory_ledger().total_evicted(), 0u);
+  EXPECT_GT(eng.memory_ledger().totals().evicted_bytes, 0u);
   EXPECT_GT(res_b.evicted_bytes + eng.metrics().jobs().front().evicted_bytes,
             0u);
 
@@ -256,7 +256,7 @@ TEST(MemoryBudget, ShuffleSpillKeepsResultsAndAddsDiskTime) {
   EXPECT_EQ(sorted_kv(res.records), want);
   EXPECT_GT(res.spilled_bytes, 0u);
   EXPECT_EQ(res.oom_count, 0u);
-  EXPECT_GT(eng.memory_ledger().total_spilled(), 0u);
+  EXPECT_GT(eng.memory_ledger().totals().spilled_bytes, 0u);
   EXPECT_GT(res.sim_time_s, base.sim_time_s);  // disk reads are priced
 
   // Stage metrics carry the spill attribution.

@@ -72,6 +72,34 @@ TEST(ResourceTimeline, ClearResets) {
   EXPECT_TRUE(tl.samples().empty());
 }
 
+TEST(MemoryLedger, TotalsSumNodesAndKeepTheLargestPeak) {
+  MemoryLedger ledger;
+  ledger.init(3);
+  ledger.add_spill(0, 10);
+  ledger.add_spill(2, 5);
+  ledger.add_spill(7, 100);  // no such node: ignored
+  ledger.add_evict(1, 7);
+  ledger.add_evict(1, 3, /*cost_policy=*/true);
+  ledger.add_oom(0);
+  ledger.add_oom(2);
+  ledger.note_resident(0, 40);
+  ledger.note_resident(1, 90);
+  ledger.note_resident(2, 60);
+
+  const NodeMemoryStats t = ledger.totals();
+  EXPECT_EQ(t.spilled_bytes, 15u);
+  EXPECT_EQ(t.evicted_bytes, 10u);
+  EXPECT_EQ(t.oom_count, 2u);
+  EXPECT_EQ(t.peak_resident_bytes, 90u);
+  EXPECT_EQ(t.evictions_lru, 1u);
+  EXPECT_EQ(t.evictions_cost, 1u);
+
+  ledger.clear();
+  const NodeMemoryStats z = ledger.totals();
+  EXPECT_EQ(z.spilled_bytes + z.evicted_bytes + z.peak_resident_bytes, 0u);
+  EXPECT_EQ(ledger.snapshot().size(), 3u);
+}
+
 TEST(MetricsRegistry, AccumulatesAndClears) {
   MetricsRegistry reg;
   JobMetrics j1, j2;

@@ -363,39 +363,12 @@ TEST(Resilience, ComposedFaultSchedulesStayBitIdenticalWithReplayParity) {
   EXPECT_GE(got.checksum_failures, 1u);
   EXPECT_GT(got.stage_attempts, vanilla.metrics().stages().size());
 
-  // The recorded history must rebuild the exact metrics the live run saw.
+  // The recorded history must rebuild the exact metrics the live run saw,
+  // every field of every stage and job row.
   MetricsRegistry replayed;
   obs::HistoryReader::load(path).replay_into(replayed);
-  const auto& live_stages = eng.metrics().stages();
-  const auto replay_stages = replayed.stages();
-  ASSERT_EQ(replay_stages.size(), live_stages.size());
-  for (std::size_t i = 0; i < live_stages.size(); ++i) {
-    EXPECT_EQ(replay_stages[i].attempt_count, live_stages[i].attempt_count);
-    EXPECT_EQ(replay_stages[i].fetch_retries, live_stages[i].fetch_retries);
-    EXPECT_EQ(replay_stages[i].refetched_bytes,
-              live_stages[i].refetched_bytes);
-    EXPECT_EQ(replay_stages[i].checksum_failures,
-              live_stages[i].checksum_failures);
-    EXPECT_EQ(replay_stages[i].node_exclusions,
-              live_stages[i].node_exclusions);
-    EXPECT_EQ(replay_stages[i].oom_count, live_stages[i].oom_count);
-    EXPECT_EQ(replay_stages[i].shuffle_read_bytes,
-              live_stages[i].shuffle_read_bytes);
-    EXPECT_DOUBLE_EQ(replay_stages[i].sim_time_s, live_stages[i].sim_time_s);
-    EXPECT_EQ(replay_stages[i].tasks.size(), live_stages[i].tasks.size());
-  }
-  const auto& live_jobs = eng.metrics().jobs();
-  const auto replay_jobs = replayed.jobs();
-  ASSERT_EQ(replay_jobs.size(), live_jobs.size());
-  for (std::size_t i = 0; i < live_jobs.size(); ++i) {
-    EXPECT_EQ(replay_jobs[i].fetch_retries, live_jobs[i].fetch_retries);
-    EXPECT_EQ(replay_jobs[i].refetched_bytes, live_jobs[i].refetched_bytes);
-    EXPECT_EQ(replay_jobs[i].checksum_failures,
-              live_jobs[i].checksum_failures);
-    EXPECT_EQ(replay_jobs[i].node_exclusions, live_jobs[i].node_exclusions);
-    EXPECT_EQ(replay_jobs[i].stage_attempts, live_jobs[i].stage_attempts);
-    EXPECT_DOUBLE_EQ(replay_jobs[i].sim_time_s, live_jobs[i].sim_time_s);
-  }
+  EXPECT_TRUE(replayed.stages() == eng.metrics().stages());
+  EXPECT_TRUE(replayed.jobs() == eng.metrics().jobs());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-// The structured event log (DESIGN.md §12): JSONL wire round-trip, ring
-// overflow semantics, deterministic replay parity against a live run with
-// fault + OOM injection, offline WorkloadDb population from a profiling
-// sweep's log, and Chrome trace export sanity.
+// The structured event log (DESIGN.md §12): JSONL wire round-trip of events
+// and of whole metrics rows, ring overflow semantics, whole-row replay parity
+// against a live run with fault + OOM injection, offline WorkloadDb
+// population from a profiling sweep's log, and Chrome trace export sanity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "obs/event_log.h"
 #include "obs/history.h"
 #include "obs/jsonl.h"
+#include "obs/row_counters.h"
 #include "obs/sinks.h"
 #include "workloads/kmeans.h"
 
@@ -70,93 +71,8 @@ engine::DatasetPtr sum_by_mod(std::size_t records, std::size_t mod) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-exact metric comparisons. EXPECT_EQ on doubles is deliberate: the
+// Whole-row metric comparisons. Exact equality on doubles is deliberate: the
 // JSONL writer uses %.17g, so replay must be bit-identical, not just close.
-
-void expect_task_eq(const engine::TaskMetrics& a, const engine::TaskMetrics& b,
-                    const std::string& where) {
-  SCOPED_TRACE(where);
-  EXPECT_EQ(a.task_index, b.task_index);
-  EXPECT_EQ(a.node, b.node);
-  EXPECT_EQ(a.sim_start, b.sim_start);
-  EXPECT_EQ(a.sim_end, b.sim_end);
-  EXPECT_EQ(a.compute_s, b.compute_s);
-  EXPECT_EQ(a.fetch_s, b.fetch_s);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
-  EXPECT_EQ(a.records_in, b.records_in);
-  EXPECT_EQ(a.records_out, b.records_out);
-  EXPECT_EQ(a.bytes_in, b.bytes_in);
-  EXPECT_EQ(a.bytes_out, b.bytes_out);
-  EXPECT_EQ(a.shuffle_read_remote, b.shuffle_read_remote);
-  EXPECT_EQ(a.shuffle_read_local, b.shuffle_read_local);
-}
-
-void expect_stage_eq(const engine::StageMetrics& a,
-                     const engine::StageMetrics& b) {
-  SCOPED_TRACE("stage " + std::to_string(a.stage_id) + " (" + a.name + ")");
-  EXPECT_EQ(a.stage_id, b.stage_id);
-  EXPECT_EQ(a.job_id, b.job_id);
-  EXPECT_EQ(a.signature, b.signature);
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.is_shuffle_map, b.is_shuffle_map);
-  EXPECT_EQ(a.num_partitions, b.num_partitions);
-  EXPECT_EQ(a.partitioner, b.partitioner);
-  EXPECT_EQ(a.anchor_op, b.anchor_op);
-  EXPECT_EQ(a.parent_signatures, b.parent_signatures);
-  EXPECT_EQ(a.fixed_partitions, b.fixed_partitions);
-  EXPECT_EQ(a.user_fixed, b.user_fixed);
-  EXPECT_EQ(a.input_records, b.input_records);
-  EXPECT_EQ(a.input_bytes, b.input_bytes);
-  EXPECT_EQ(a.output_records, b.output_records);
-  EXPECT_EQ(a.output_bytes, b.output_bytes);
-  EXPECT_EQ(a.shuffle_read_bytes, b.shuffle_read_bytes);
-  EXPECT_EQ(a.shuffle_write_bytes, b.shuffle_write_bytes);
-  EXPECT_EQ(a.attempt_count, b.attempt_count);
-  EXPECT_EQ(a.recomputed_tasks, b.recomputed_tasks);
-  EXPECT_EQ(a.recomputed_bytes, b.recomputed_bytes);
-  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s);
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
-  EXPECT_EQ(a.refetched_bytes, b.refetched_bytes);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.node_exclusions, b.node_exclusions);
-  EXPECT_EQ(a.oom_count, b.oom_count);
-  EXPECT_EQ(a.oomed_partition_counts, b.oomed_partition_counts);
-  EXPECT_EQ(a.evicted_bytes, b.evicted_bytes);
-  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
-  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
-  EXPECT_EQ(a.sim_start_s, b.sim_start_s);
-  EXPECT_EQ(a.wall_time_s, b.wall_time_s);
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    expect_task_eq(a.tasks[i], b.tasks[i], "task " + std::to_string(i));
-  }
-}
-
-void expect_job_eq(const engine::JobMetrics& a, const engine::JobMetrics& b) {
-  SCOPED_TRACE("job " + std::to_string(a.job_id) + " (" + a.name + ")");
-  EXPECT_EQ(a.job_id, b.job_id);
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
-  EXPECT_EQ(a.wall_time_s, b.wall_time_s);
-  EXPECT_EQ(a.stage_ids, b.stage_ids);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.error, b.error);
-  EXPECT_EQ(a.stage_attempts, b.stage_attempts);
-  EXPECT_EQ(a.recomputed_tasks, b.recomputed_tasks);
-  EXPECT_EQ(a.lost_bytes, b.lost_bytes);
-  EXPECT_EQ(a.recomputed_bytes, b.recomputed_bytes);
-  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s);
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
-  EXPECT_EQ(a.refetched_bytes, b.refetched_bytes);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.node_exclusions, b.node_exclusions);
-  EXPECT_EQ(a.oom_count, b.oom_count);
-  EXPECT_EQ(a.evicted_bytes, b.evicted_bytes);
-  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
-  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
-}
 
 void expect_registry_eq(const engine::MetricsRegistry& live,
                         const obs::HistoryReader& reader) {
@@ -165,10 +81,12 @@ void expect_registry_eq(const engine::MetricsRegistry& live,
   ASSERT_EQ(stages.size(), live.stages().size());
   ASSERT_EQ(jobs.size(), live.jobs().size());
   for (std::size_t i = 0; i < stages.size(); ++i) {
-    expect_stage_eq(live.stages()[i], stages[i]);
+    EXPECT_TRUE(live.stages()[i] == stages[i])
+        << "stage row " << i << " (" << stages[i].name << ")";
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_job_eq(live.jobs()[i], jobs[i]);
+    EXPECT_TRUE(live.jobs()[i] == jobs[i])
+        << "job row " << i << " (" << jobs[i].name << ")";
   }
 }
 
@@ -299,6 +217,108 @@ TEST(ObsJsonl, LoaderSkipsMalformedLinesAndCountsThem) {
 }
 
 // ---------------------------------------------------------------------------
+// 1b. Row round-trip: every field of a task, stage and job row, each set to a
+//     distinct non-default value, survives row -> Event -> JSONL -> Event ->
+//     row. The row counters are set from their list, so a counter added to
+//     obs/row_counters.h is covered here without touching this test.
+
+/// The i-th counter (from 1) gets base + i; reals add 0.5 to exercise %.17g.
+template <class Row>
+void set_row_counters(Row& row, std::uint64_t base) {
+#define SET_ROW_COUNTER(type, name, fold) \
+  row.name = static_cast<type>(++base) + static_cast<type>(0.5);
+  CHOPPER_ROW_COUNTERS(SET_ROW_COUNTER)
+#undef SET_ROW_COUNTER
+}
+
+Event through_jsonl(const Event& e) {
+  const auto back = obs::from_jsonl(obs::to_jsonl(e));
+  EXPECT_TRUE(back.has_value());
+  return back.value_or(Event{});
+}
+
+engine::TaskMetrics sample_task(std::size_t i) {
+  engine::TaskMetrics tm;
+  tm.task_index = 3 + i;
+  tm.node = 2 + i;
+  tm.sim_start = 0.1 + static_cast<double>(i);
+  tm.sim_end = 1.0 / 3.0 + static_cast<double>(i);
+  tm.compute_s = 2.0 / 7.0;
+  tm.fetch_s = 1e-9;
+  tm.attempts = 4;
+  tm.fetch_retries = 5;
+  tm.records_in = 11;
+  tm.records_out = 13;
+  tm.bytes_in = 17;
+  tm.bytes_out = 19;
+  tm.shuffle_read_remote = 23;
+  tm.shuffle_read_local = 29;
+  return tm;
+}
+
+TEST(ObsRows, EveryRowFieldRoundTripsThroughJsonl) {
+  const engine::TaskMetrics tm = sample_task(0);
+  EXPECT_TRUE(obs::task_from_event(through_jsonl(obs::task_to_event(tm))) ==
+              tm);
+
+  engine::StageMetrics sm;
+  sm.stage_id = 7;
+  sm.job_id = 2;
+  sm.signature = 0x9e3779b97f4a7c15ULL;
+  sm.name = "stage \"quoted\"\n";
+  sm.is_shuffle_map = true;
+  sm.num_partitions = 48;
+  sm.partitioner = engine::PartitionerKind::kRange;
+  sm.anchor_op = engine::OpKind::kReduceByKey;
+  sm.parent_signatures = {31, 37};
+  sm.fixed_partitions = true;
+  sm.user_fixed = true;
+  sm.input_records = 41;
+  sm.input_bytes = 43;
+  sm.output_records = 47;
+  sm.output_bytes = 53;
+  sm.shuffle_read_bytes = 59;
+  sm.shuffle_write_bytes = 61;
+  sm.attempt_count = 3;
+  sm.oomed_partition_counts = {16, 24};
+  set_row_counters(sm, 100);
+  sm.sim_time_s = 123.456789012345678;
+  sm.sim_start_s = 0.25;
+  sm.wall_time_s = 1e-7;
+  sm.tasks = {sample_task(0), sample_task(1)};
+  EXPECT_TRUE(obs::stage_from_event(through_jsonl(obs::stage_to_event(sm)),
+                                    sm.tasks) == sm);
+
+  engine::JobMetrics jm;
+  jm.job_id = 2;
+  jm.name = "job\t#2";
+  jm.sim_time_s = 9.0 / 7.0;
+  jm.wall_time_s = 3e-3;
+  jm.stage_ids = {6, 7};
+  jm.failed = true;
+  jm.error = "stage aborted";
+  jm.stage_attempts = 5;
+  jm.lost_bytes = 67;
+  set_row_counters(jm, 200);
+  jm.resumed_stages = 1;
+  jm.replayed_events = 71;
+  jm.restored_bytes = 73;
+  jm.recovery_wall_s = 0.125;
+  EXPECT_TRUE(obs::job_from_event(through_jsonl(obs::job_to_event(jm))) ==
+              jm);
+
+  // The stage -> job fold covers every row counter: sums, and the max for
+  // peak_resident_bytes.
+  engine::JobMetrics folded;
+  engine::fold_stage(folded, sm);
+  engine::fold_stage(folded, sm);
+  EXPECT_EQ(folded.stage_attempts, 2 * sm.attempt_count);
+  EXPECT_EQ(folded.evictions_cost, 2 * sm.evictions_cost);
+  EXPECT_EQ(folded.recovery_time_s, 2 * sm.recovery_time_s);
+  EXPECT_EQ(folded.peak_resident_bytes, sm.peak_resident_bytes);
+}
+
+// ---------------------------------------------------------------------------
 // 2. Ring overflow: last `capacity` events survive, oldest first.
 
 TEST(ObsRingSink, OverflowKeepsNewestAndCountsDropped) {
@@ -347,6 +367,10 @@ TEST(ObsReplay, FaultAndOomRunReplaysBitExact) {
 
   ASSERT_GT(res.recomputed_tasks, 0u);  // the failure really bit
   ASSERT_EQ(res.oom_count, 2u);        // and so did the OOM injection
+  // The result is the job's registry row plus the payload.
+  ASSERT_EQ(eng.metrics().jobs().size(), 1u);
+  EXPECT_TRUE(static_cast<const engine::JobMetrics&>(res) ==
+              eng.metrics().jobs().back());
 
   const auto reader = obs::HistoryReader::load(path);
   EXPECT_EQ(reader.skipped_lines(), 0u);

@@ -427,23 +427,11 @@ void print_recovery_telemetry(const engine::Engine& eng) {
 
 void print_stages(const engine::Engine& eng) {
   // Only widen the table with memory/cache columns when something happened.
-  std::size_t ooms = 0;
-  std::uint64_t evicted = 0, spilled = 0, peak = 0;
-  std::size_t chits = 0, cmisses = 0, ev_lru = 0, ev_cost = 0;
-  std::uint64_t csaved = 0;
-  for (const auto& s : eng.metrics().stages()) {
-    ooms += s.oom_count;
-    evicted += s.evicted_bytes;
-    spilled += s.spilled_bytes;
-    peak = std::max(peak, s.peak_resident_bytes);
-    chits += s.cache_hits;
-    cmisses += s.cache_misses;
-    csaved += s.recompute_saved_bytes;
-    ev_lru += s.evictions_lru;
-    ev_cost += s.evictions_cost;
-  }
-  const bool mem = ooms > 0 || evicted > 0 || spilled > 0;
-  const bool cache = chits > 0 || cmisses > 0;
+  engine::JobMetrics t;
+  for (const auto& s : eng.metrics().stages()) engine::fold_stage(t, s);
+  const bool mem =
+      t.oom_count > 0 || t.evicted_bytes > 0 || t.spilled_bytes > 0;
+  const bool cache = t.cache_hits > 0 || t.cache_misses > 0;
 
   std::vector<std::string> cols = {"stage",   "name",        "P",   "partitioner",
                                    "time(s)", "shuffle(KB)", "skew"};
@@ -478,19 +466,21 @@ void print_stages(const engine::Engine& eng) {
   }
   table.print();
   std::printf("total simulated time: %.2fs\n", eng.metrics().total_sim_time());
-  if (mem || peak > 0) {
+  if (mem || t.peak_resident_bytes > 0) {
     std::printf(
         "memory: %zu OOM retries, %.1f KB evicted, %.1f KB spilled, peak "
         "resident %.1f MB\n",
-        ooms, static_cast<double>(evicted) / 1024.0,
-        static_cast<double>(spilled) / 1024.0,
-        static_cast<double>(peak) / 1048576.0);
+        t.oom_count, static_cast<double>(t.evicted_bytes) / 1024.0,
+        static_cast<double>(t.spilled_bytes) / 1024.0,
+        static_cast<double>(t.peak_resident_bytes) / 1048576.0);
   }
-  if (cache || ev_lru > 0 || ev_cost > 0) {
+  if (cache || t.evictions_lru > 0 || t.evictions_cost > 0) {
     std::printf(
         "cache: %zu hits, %zu misses healed, %.1f KB recompute saved, "
         "%zu lru / %zu cost evictions\n",
-        chits, cmisses, static_cast<double>(csaved) / 1024.0, ev_lru, ev_cost);
+        t.cache_hits, t.cache_misses,
+        static_cast<double>(t.recompute_saved_bytes) / 1024.0,
+        t.evictions_lru, t.evictions_cost);
   }
 }
 
@@ -853,18 +843,13 @@ int cmd_serve(const Args& args) {
         server.current_plan().entries().size());
   }
   if (cache_planner != nullptr) {
-    std::size_t chits = 0, cmisses = 0;
-    std::uint64_t csaved = 0;
-    for (const auto& jm : eng.metrics().jobs()) {
-      chits += jm.cache_hits;
-      cmisses += jm.cache_misses;
-      csaved += jm.recompute_saved_bytes;
-    }
+    engine::JobMetrics t;
+    for (const auto& jm : eng.metrics().jobs()) obs::fold_row_counters(t, jm);
     std::printf(
         "cache plan: %zu decision(s); %zu hits, %zu misses, %.1f KB "
         "recompute saved\n",
-        cache_planner->decisions_made(), chits, cmisses,
-        static_cast<double>(csaved) / 1024.0);
+        cache_planner->decisions_made(), t.cache_hits, t.cache_misses,
+        static_cast<double>(t.recompute_saved_bytes) / 1024.0);
   }
   event_log.detach_all();
   if (args.has("event-log")) {
@@ -1010,17 +995,10 @@ int resume_serve(const Args& args, const std::string& dir,
     if (it != finished.end()) {
       // kJobFinish carries the job's execution record, not its result
       // payload; a re-admitted handle surfaces metrics + success state.
-      const engine::JobMetrics& jm = it->second;
       engine::JobResult r;
-      r.job_id = jm.job_id;
-      r.name = jm.name.empty() ? name : jm.name;
-      r.sim_time_s = jm.sim_time_s;
-      r.wall_time_s = jm.wall_time_s;
-      r.stage_ids = jm.stage_ids;
-      r.stage_attempts = jm.stage_attempts;
-      r.fetch_retries = jm.fetch_retries;
-      r.oom_count = jm.oom_count;
-      r.replayed_events = jm.stage_ids.size();
+      static_cast<engine::JobMetrics&>(r) = it->second;
+      if (r.name.empty()) r.name = name;
+      r.replayed_events = r.stage_ids.size();
       handles.push_back(server.admit_completed(name, std::move(r)));
     } else {
       service::SubmitOptions o;
