@@ -11,6 +11,9 @@
 //  * digest parity — the resumed run's stage/task/job metrics equal the
 //    uninterrupted reference exactly (wall-clock and recovery telemetry
 //    excluded by construction);
+//  * event parity — the resumed run's WAL epoch holds the reference's
+//    events in the same order with equal payloads, by ckpt::identity_events
+//    (seq, wall stamps, kResume and the resume telemetry excluded);
 //  * strictly less work — whenever the plan adopted a committed prefix,
 //    the resumed run executed fewer stages than a cold rerun would;
 //  * fault arm — with an OOM injection schedule armed the engine must
@@ -34,6 +37,7 @@
 #include "common/rng.h"
 #include "harness.h"
 #include "obs/event_log.h"
+#include "obs/jsonl.h"
 #include "workloads/pagerank.h"
 
 namespace fs = std::filesystem;
@@ -84,6 +88,7 @@ struct RunOut {
   std::size_t total_stages = 0;
   std::size_t resumed_stages = 0;
   std::uint64_t restored_bytes = 0;
+  std::string wal;  ///< the WAL segment this run wrote
 };
 
 /// One driver-process lifetime: engine + event log + checkpoint writer,
@@ -111,6 +116,7 @@ RunOut run_attempt(const workloads::Workload& wl, double scale,
   out.digest = bench::metrics_digest(eng.metrics());
   out.events = writer->events_appended();
   out.barriers = writer->barriers_seen();
+  out.wal = ckpt::wal_path(dir, writer->wal_epoch());
   out.total_stages = eng.metrics().stages().size();
   for (const auto& j : eng.metrics().jobs()) {
     out.resumed_stages += j.resumed_stages;
@@ -124,6 +130,7 @@ struct ArmStats {
   std::size_t crashed = 0;
   std::size_t adopted_trials = 0;   ///< resumed run adopted >=1 stage
   std::size_t parity_failures = 0;  ///< digest diverged from the reference
+  std::size_t event_failures = 0;   ///< event log diverged from the reference
   std::size_t adopt_failures = 0;   ///< wrong adoption decision
   std::size_t stages_adopted = 0;
   std::size_t stages_total = 0;  ///< cold-rerun stage count, summed
@@ -131,12 +138,14 @@ struct ArmStats {
 };
 
 /// Crash the driver with `crash`, then resume the directory in a fresh
-/// process and check it against the reference digest. `expect_adoption`
+/// process and check it against the reference digest and events.
+/// `expect_adoption`
 /// distinguishes the clean arm (committed prefixes must be adopted) from
 /// the fault arm (the engine must refuse and re-run everything).
 void run_trial(ArmStats& st, const workloads::Workload& wl, double scale,
                const engine::EngineOptions& opts, const std::string& root,
                const ckpt::CrashSchedule& crash, std::uint64_t want_digest,
+               const std::vector<obs::Event>& want_events,
                std::size_t cold_stages, bool expect_adoption,
                const char* label) {
   const std::string dir = root + "/t" + std::to_string(st.trials);
@@ -172,6 +181,26 @@ void run_trial(ArmStats& st, const workloads::Workload& wl, double scale,
     }
     ++st.parity_failures;
   }
+  const std::vector<obs::Event> got = ckpt::identity_events(resumed.wal);
+  if (got != want_events) {
+    if (st.event_failures == 0) {
+      std::size_t i = 0;
+      while (i < got.size() && i < want_events.size() &&
+             got[i] == want_events[i]) {
+        ++i;
+      }
+      std::fprintf(stderr,
+                   "FAIL [%s %s]: resumed log diverges at event %zu of %zu "
+                   "(reference %zu)\n  got  %s\n  want %s\n",
+                   wl.name().c_str(), label, i, got.size(),
+                   want_events.size(),
+                   i < got.size() ? obs::to_jsonl(got[i]).c_str() : "(end)",
+                   i < want_events.size()
+                       ? obs::to_jsonl(want_events[i]).c_str()
+                       : "(end)");
+    }
+    ++st.event_failures;
+  }
   if (expect_adoption && any_adoptable && resumed.resumed_stages == 0) {
     // Strictly-less-work guarantee: a provably clean prefix must be skipped,
     // not re-executed.
@@ -205,14 +234,15 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Crash-resume fuzz: kill the driver at every stage barrier (+ sampled "
-      "event seqs), resume, and require bit-identical metrics digests");
+      "event seqs), resume, and require bit-identical metrics digests and "
+      "event logs");
 
   const std::string root = "crash_resume_wals";
   fs::remove_all(root);
 
   bench::Table table({"workload", "arm", "trials", "crashed", "adopted",
                       "work saved(%)", "restored(KB)", "parity fail",
-                      "adopt fail"});
+                      "event fail", "adopt fail"});
   std::vector<Case> cases = make_cases();
   std::size_t failures = 0;
   std::size_t total_trials = 0;
@@ -225,6 +255,7 @@ int main(int argc, char** argv) {
     // -- clean arm: reference, then the crash-point sweep --------------------
     const RunOut ref =
         run_attempt(*c.wl, scale, clean_opts, wroot + "/ref", {}, nullptr);
+    const std::vector<obs::Event> ref_events = ckpt::identity_events(ref.wal);
     fs::remove_all(wroot + "/ref");
     std::printf("%s: reference %llu events, %llu barriers, %zu stages, "
                 "digest %016llx\n",
@@ -239,10 +270,10 @@ int main(int argc, char** argv) {
       cs.at_stage_barrier = static_cast<std::int64_t>(b);
       cs.after_barrier_flush = false;  // barrier line lost: stage uncommitted
       run_trial(clean, *c.wl, scale, clean_opts, wroot, cs, ref.digest,
-                ref.total_stages, true, "barrier-pre");
+                ref_events, ref.total_stages, true, "barrier-pre");
       cs.after_barrier_flush = true;  // stage committed, death right after
       run_trial(clean, *c.wl, scale, clean_opts, wroot, cs, ref.digest,
-                ref.total_stages, true, "barrier-post");
+                ref_events, ref.total_stages, true, "barrier-post");
     }
     common::Xoshiro256 rng(common::hash_combine(0xc0a5eedULL, ci));
     for (std::size_t s = 0; s < seq_samples; ++s) {
@@ -250,7 +281,7 @@ int main(int argc, char** argv) {
       cs.at_event_seq = static_cast<std::int64_t>(rng.next_below(ref.events));
       cs.torn_tail = (s % 2 == 0);
       run_trial(clean, *c.wl, scale, clean_opts, wroot, cs, ref.digest,
-                ref.total_stages, true, "seq");
+                ref_events, ref.total_stages, true, "seq");
     }
 
     // -- fault arm: OOM injection armed => adoption refused ------------------
@@ -266,6 +297,8 @@ int main(int argc, char** argv) {
 
     const RunOut fref =
         run_attempt(*c.wl, scale, oom_opts, wroot + "/fref", {}, nullptr);
+    const std::vector<obs::Event> fref_events =
+        ckpt::identity_events(fref.wal);
     fs::remove_all(wroot + "/fref");
     ArmStats fault;
     {
@@ -273,11 +306,11 @@ int main(int argc, char** argv) {
       cs.at_stage_barrier = static_cast<std::int64_t>(fref.barriers / 2);
       cs.after_barrier_flush = true;
       run_trial(fault, *c.wl, scale, oom_opts, wroot, cs, fref.digest,
-                fref.total_stages, false, "oom-barrier");
+                fref_events, fref.total_stages, false, "oom-barrier");
       ckpt::CrashSchedule cs2;
       cs2.at_event_seq = static_cast<std::int64_t>(fref.events / 2);
       run_trial(fault, *c.wl, scale, oom_opts, wroot, cs2, fref.digest,
-                fref.total_stages, false, "oom-seq");
+                fref_events, fref.total_stages, false, "oom-seq");
     }
 
     for (const auto* arm : {&clean, &fault}) {
@@ -295,8 +328,10 @@ int main(int argc, char** argv) {
                      bench::Table::num(
                          static_cast<double>(arm->restored_bytes) / 1024.0, 1),
                      std::to_string(arm->parity_failures),
+                     std::to_string(arm->event_failures),
                      std::to_string(arm->adopt_failures)});
-      failures += arm->parity_failures + arm->adopt_failures;
+      failures +=
+          arm->parity_failures + arm->event_failures + arm->adopt_failures;
       total_trials += arm->trials;
     }
   }

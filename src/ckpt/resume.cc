@@ -186,4 +186,26 @@ ResumePlan build_resume_plan(const std::string& dir) {
   return plan;
 }
 
+std::vector<obs::Event> identity_events(const std::string& wal) {
+  const obs::HistoryReader hr = obs::HistoryReader::load(wal);
+  std::unordered_map<std::uint64_t, std::uint64_t> dataset_ids;
+  std::vector<obs::Event> out;
+  for (obs::Event e : hr.events()) {
+    if (e.kind == obs::EventKind::kResume) continue;
+    if (e.dataset != obs::kNoId) {
+      e.dataset = dataset_ids.emplace(e.dataset, dataset_ids.size())
+                      .first->second;
+    }
+    e.seq = 0;
+    e.wall = 0.0;
+    e.wall_time_s = 0.0;
+    e.resumed_stages = 0;
+    e.replayed_events = 0;
+    e.restored_bytes = 0;
+    e.recovery_wall_s = 0.0;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
 }  // namespace chopper::ckpt

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "engine/resume.h"
+#include "obs/event.h"
 
 namespace chopper::ckpt {
 
@@ -47,5 +48,12 @@ struct ResumePlan {
 /// directory holds no WAL segment (not a checkpoint directory) or the
 /// newest segment is unreadable.
 ResumePlan build_resume_plan(const std::string& dir);
+
+/// The events that identify a run, read from WAL segment `wal`: every event
+/// but kResume, in seq order, with the provenance cleared — seq, wall,
+/// wall_time_s and the resume telemetry of kJobFinish — and dataset ids,
+/// which are process-local, renumbered by first appearance. A resumed run's
+/// epoch yields exactly its uninterrupted run's list.
+std::vector<obs::Event> identity_events(const std::string& wal);
 
 }  // namespace chopper::ckpt

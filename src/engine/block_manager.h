@@ -6,7 +6,7 @@
 // Fault tolerance: `placement[p]` records which node holds partition p. When
 // a node dies, `invalidate_node` drops the partitions it held and marks them
 // unavailable; `lineage` keeps the cached dataset's DAG node alive so the
-// scheduler can recompute exactly the lost partitions (see scheduler.cc).
+// scheduler can recompute exactly the lost partitions (see recovery.cc).
 //
 // Memory budget (DESIGN.md §11): configure_budget arms a per-node capacity
 // (the storage tier of MemoryLimits). put() and enforce_budget() evict

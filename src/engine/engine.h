@@ -131,9 +131,6 @@ struct EngineOptions {
   FlakySchedule flaky_schedule;
   /// Deterministic silent corruption; arms block integrity checksums.
   CorruptionSchedule corruption_schedule;
-  /// Compute/verify block checksums even without a corruption schedule
-  /// (costs a hash pass per published row; detection-only, nothing to heal).
-  bool integrity_checksums = false;
   /// Node health scoreboard / placement-exclusion policy (fault.h).
   NodeHealthPolicy health;
   Speculation speculation;
@@ -314,12 +311,12 @@ class Engine {
   /// Drop all cached datasets.
   void uncache_all();
 
-  /// Implementation detail of run_job (defined in scheduler.cc); public so
-  /// file-local helpers there can name it.
+  /// Implementation detail of run_job (defined in engine/job_runner.h);
+  /// public so file-local helpers of the scheduler can name it.
   struct JobContext;
 
  private:
-  friend class JobRunner;  ///< stage execution + recovery (scheduler.cc)
+  friend class JobRunner;  ///< stage execution + recovery (job_runner.h)
 
   JobResult run_job(const DatasetPtr& root, bool collect_records,
                     std::string job_name, const JobControl* control = nullptr);

@@ -27,6 +27,7 @@ namespace chopper::engine {
 struct TaskMetrics {
   std::size_t task_index = 0;
   std::size_t node = 0;
+  std::size_t slot = 0;       ///< core slot on `node` the task ran in
   double sim_start = 0.0;
   double sim_end = 0.0;
   double compute_s = 0.0;     ///< CPU portion of the task
@@ -34,6 +35,8 @@ struct TaskMetrics {
   std::size_t attempts = 1;   ///< execution attempts (>1 under fault injection)
   /// Transient fetch retries this task paid for (FlakySchedule backoff).
   std::size_t fetch_retries = 0;
+  /// Modeled working-set bytes past the slot's spill threshold.
+  std::uint64_t spilled_bytes = 0;
   std::uint64_t records_in = 0;
   std::uint64_t records_out = 0;
   std::uint64_t bytes_in = 0;

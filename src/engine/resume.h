@@ -4,7 +4,7 @@
 // submit time it consumes a ResumeLedger of already-decoded committed-stage
 // state that a resume planner built from a write-ahead log.
 //
-// Adoption semantics (scheduler.cc, JobRunner::adopt_restored): a job whose
+// Adoption semantics (adoption.cc, JobRunner::adopt_restored): a job whose
 // ledger entry carries a *clean* committed prefix — attempt_count 1
 // everywhere, no OOM / checksum / exclusion / recovery activity, and an
 // engine running without fault or memory schedules — re-registers each

@@ -18,7 +18,7 @@
 // (`map_node`). When a node dies, `invalidate_node` drops every row that node
 // held and marks the map task lost; consuming stages detect the loss (a
 // fetch failure) and the scheduler replays the producer's lineage for
-// exactly the lost map tasks (see scheduler.cc).
+// exactly the lost map tasks (see recovery.cc).
 #pragma once
 
 #include <cstdint>

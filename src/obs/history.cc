@@ -20,12 +20,14 @@ namespace chopper::obs {
 #define CHOPPER_TASK_FIELDS(X)                \
   X(task_index, task)                         \
   X(node, node)                               \
+  X(slot, slot)                               \
   X(sim_start, t_start)                       \
   X(sim_end, t_end)                           \
   X(compute_s, compute_s)                     \
   X(fetch_s, fetch_s)                         \
   X(attempts, attempt)                        \
   X(fetch_retries, fetch_retries)             \
+  X(spilled_bytes, spilled_bytes)             \
   X(records_in, records_in)                   \
   X(records_out, records_out)                 \
   X(bytes_in, bytes_in)                       \
@@ -102,6 +104,7 @@ Event task_to_event(const engine::TaskMetrics& row) {
   CHOPPER_TASK_FIELDS(CHOPPER_TO_EVENT)
   if (row.shuffle_read_remote > 0) e.flags |= kFlagRemoteFetch;
   if (row.shuffle_read_local > 0) e.flags |= kFlagLocalFetch;
+  if (row.spilled_bytes > 0) e.flags |= kFlagSpilled;
   return e;
 }
 

@@ -5,7 +5,8 @@
 // from the new, self-contained WAL epoch). Every resumed run must reproduce
 // the uninterrupted reference bit-for-bit: same collected rows, same counts,
 // same stage/task/job metrics fingerprint (wall-clock and recovery
-// telemetry excluded).
+// telemetry excluded), and — for tiny KMeans and SQL crashed after every
+// stage barrier — the same event log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,9 @@
 #include "ckpt/resume.h"
 #include "engine/engine.h"
 #include "obs/event_log.h"
+#include "obs/jsonl.h"
+#include "workloads/kmeans.h"
+#include "workloads/sql.h"
 
 namespace chopper {
 namespace {
@@ -311,6 +315,98 @@ TEST(CkptResume, DoubleResumeIsIdempotent) {
   EXPECT_FALSE(resumed.crashed);
   EXPECT_GT(resumed.resumed_stages, 0u);
   expect_same_outcome(resumed, ref);
+}
+
+/// Tiny KMeans (its iterations read a cached input) and tiny SQL (two
+/// aggregations shuffled into a join).
+std::vector<std::unique_ptr<workloads::Workload>> tiny_workloads() {
+  std::vector<std::unique_ptr<workloads::Workload>> wls;
+  workloads::KMeansParams km;
+  km.data.total_points = 2400;
+  km.data.dims = 4;
+  km.data.clusters = 3;
+  km.k = 3;
+  km.iterations = 2;
+  km.init_rounds = 2;
+  km.source_partitions = 8;
+  wls.push_back(std::make_unique<workloads::KMeansWorkload>(km));
+  workloads::SqlParams sql;
+  sql.fact.total_rows = 4000;
+  sql.fact.num_keys = 600;
+  sql.dim.num_keys = 600;
+  sql.fact_partitions = 8;
+  sql.dim_partitions = 4;
+  sql.fact_agg_partitions = 8;
+  sql.dim_agg_partitions = 4;
+  wls.push_back(std::make_unique<workloads::SqlWorkload>(sql));
+  return wls;
+}
+
+struct WorkloadRun {
+  std::string wal;            ///< the WAL segment this run wrote
+  std::uint64_t barriers = 0;
+  std::size_t resumed_stages = 0;
+};
+
+/// One driver-process lifetime of `wl` with checkpointing into `dir`.
+WorkloadRun drive_workload(const workloads::Workload& wl,
+                           const std::string& dir,
+                           const ckpt::CrashSchedule& crash,
+                           engine::ResumeLedger* ledger) {
+  engine::EngineOptions opts = small_options();
+  opts.default_parallelism = 8;
+  engine::Engine eng(engine::ClusterSpec::uniform(2, 2), opts);
+  obs::EventLog log;
+  ckpt::CheckpointOptions co;
+  co.crash = crash;
+  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, co);
+  log.attach(writer);
+  eng.set_event_log(&log);
+  eng.set_checkpoint_hook(writer.get());
+  if (ledger != nullptr) eng.set_resume_ledger(ledger);
+  try {
+    wl.run(eng, 1.0);
+  } catch (const ckpt::SimulatedCrash&) {
+  }
+  log.detach_all();
+  WorkloadRun out;
+  out.wal = ckpt::wal_path(dir, writer->wal_epoch());
+  out.barriers = writer->barriers_seen();
+  for (const auto& j : eng.metrics().jobs()) {
+    out.resumed_stages += j.resumed_stages;
+  }
+  return out;
+}
+
+TEST(CkptResume, ResumedLogEqualsTheUninterruptedLog) {
+  for (const auto& wl : tiny_workloads()) {
+    SCOPED_TRACE(wl->name());
+    const std::string ref_dir = temp_dir("res_log_ref_" + wl->name());
+    const WorkloadRun ref = drive_workload(*wl, ref_dir, {}, nullptr);
+    const std::vector<obs::Event> want = ckpt::identity_events(ref.wal);
+    ASSERT_GT(ref.barriers, 0u);
+    std::size_t adopted = 0;
+    for (std::uint64_t b = 0; b < ref.barriers; ++b) {
+      SCOPED_TRACE("crash after barrier " + std::to_string(b));
+      const std::string dir = temp_dir("res_log_" + wl->name());
+      ckpt::CrashSchedule cs;
+      cs.at_stage_barrier = static_cast<std::int64_t>(b);
+      cs.after_barrier_flush = true;
+      drive_workload(*wl, dir, cs, nullptr);
+      ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
+      const WorkloadRun resumed = drive_workload(*wl, dir, {}, &plan.ledger);
+      adopted += resumed.resumed_stages;
+      const std::vector<obs::Event> got = ckpt::identity_events(resumed.wal);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(obs::to_jsonl(got[i]), obs::to_jsonl(want[i]))
+            << "event " << i << " of the resumed epoch";
+      }
+      fs::remove_all(dir);
+    }
+    EXPECT_GT(adopted, 0u) << "no crash point adopted a committed stage";
+    fs::remove_all(ref_dir);
+  }
 }
 
 TEST(CkptResume, ResumePlanRequiresACheckpointDirectory) {

@@ -304,19 +304,6 @@ TEST(Resilience, CachedBlockCorruptionIsDetectedAndHealed) {
   EXPECT_GE(got.checksum_failures, 1u);
 }
 
-TEST(Resilience, IntegrityChecksumsAloneLeaveCleanRunsUntouched) {
-  Engine vanilla(ClusterSpec::uniform(4, 2), small_options());
-  const auto want = vanilla.collect(sum_by_mod(4000, 37));
-
-  EngineOptions opts = small_options();
-  opts.integrity_checksums = true;  // hash pass on, nothing to detect
-  Engine eng(ClusterSpec::uniform(4, 2), opts);
-  const auto got = eng.collect(sum_by_mod(4000, 37));
-  EXPECT_EQ(sorted_kv(got.records), sorted_kv(want.records));
-  EXPECT_EQ(got.checksum_failures, 0u);
-  EXPECT_DOUBLE_EQ(got.sim_time_s, want.sim_time_s);
-}
-
 // ---------------------------------------------------------------------------
 // Composition: fail-stop + OOM + flaky + corruption in one job.
 

@@ -241,12 +241,14 @@ engine::TaskMetrics sample_task(std::size_t i) {
   engine::TaskMetrics tm;
   tm.task_index = 3 + i;
   tm.node = 2 + i;
+  tm.slot = 1 + i;
   tm.sim_start = 0.1 + static_cast<double>(i);
   tm.sim_end = 1.0 / 3.0 + static_cast<double>(i);
   tm.compute_s = 2.0 / 7.0;
   tm.fetch_s = 1e-9;
   tm.attempts = 4;
   tm.fetch_retries = 5;
+  tm.spilled_bytes = 7 + i;
   tm.records_in = 11;
   tm.records_out = 13;
   tm.bytes_in = 17;
@@ -260,6 +262,11 @@ TEST(ObsRows, EveryRowFieldRoundTripsThroughJsonl) {
   const engine::TaskMetrics tm = sample_task(0);
   EXPECT_TRUE(obs::task_from_event(through_jsonl(obs::task_to_event(tm))) ==
               tm);
+  // The span's flags derive from the row: a task that spilled says so.
+  EXPECT_NE(obs::task_to_event(tm).flags & obs::kFlagSpilled, 0u);
+  engine::TaskMetrics unspilled = tm;
+  unspilled.spilled_bytes = 0;
+  EXPECT_EQ(obs::task_to_event(unspilled).flags & obs::kFlagSpilled, 0u);
 
   engine::StageMetrics sm;
   sm.stage_id = 7;
