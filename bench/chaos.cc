@@ -220,24 +220,24 @@ ChaosReport chaos_run(std::uint64_t seed, bool tiny) {
   }
   r.baseline_s = base.total_s;
 
-  // -- compose the fault schedule -------------------------------------------
+  // -- compose the fault plan -----------------------------------------------
   common::Xoshiro256 rng(common::hash_combine(0xc4a05eedULL, seed));
   engine::EngineOptions opts = base_opts;
   const std::size_t num_nodes = bench_cluster().nodes().size();
 
   // Transient flakiness is always on. The per-fetch probability stays low:
-  // escalation fires on max_fetch_attempts consecutive failures of one
+  // escalation fires on kMaxFetchAttempts consecutive failures of one
   // segment, and with dozens of segments per stage a high probability would
   // make every attempt escalate until the stage-retry budget aborts the job.
-  auto& fl = opts.flaky_schedule;
-  fl.fetch_failure_prob = 0.01 + 0.07 * rng.next_double();
-  fl.seed = common::hash_combine(seed, 0xf1a4ULL);
+  engine::FaultPlan& plan = opts.faults;
+  plan.fetch_failure_prob = 0.01 + 0.07 * rng.next_double();
+  plan.seed = common::hash_combine(seed, 0xf1a4ULL);
   const std::size_t n_flaky = 1 + rng.next_below(2);
   for (std::size_t i = 0; i < n_flaky; ++i) {
-    fl.nodes.push_back(rng.next_below(num_nodes));
+    plan.flaky_nodes.push_back(rng.next_below(num_nodes));
   }
-  r.flaky_nodes = fl.nodes.size();
-  opts.failure_schedule.max_stage_attempts = 8;
+  r.flaky_nodes = plan.flaky_nodes.size();
+  plan.max_attempts = 8;
 
   const std::size_t n_corr = rng.next_below(3);
   for (std::size_t i = 0; i < n_corr; ++i) {
@@ -246,21 +246,21 @@ ChaosReport chaos_run(std::uint64_t seed, bool tiny) {
     inj.stage_id = rng.next_below(6);
     inj.task = rng.next_below(64);
     inj.byte_offset = rng.next_below(1 << 14);
-    opts.corruption_schedule.corruptions.push_back(inj);
+    plan.corruptions.push_back(inj);
   }
   if (base_trial.cached_dataset_id != kNoDataset && rng.next_double() < 0.7) {
     engine::CorruptionInjection inj;
     inj.target = engine::CorruptionInjection::Target::kCachedBlock;
     inj.task = rng.next_below(16);
     inj.byte_offset = rng.next_below(1 << 14);
-    opts.corruption_schedule.corruptions.push_back(inj);
+    plan.corruptions.push_back(inj);
     // dataset_id is patched below to the faulty graph's cache instance.
   }
   const bool cached_corruption =
-      !opts.corruption_schedule.corruptions.empty() &&
-      opts.corruption_schedule.corruptions.back().target ==
+      !plan.corruptions.empty() &&
+      plan.corruptions.back().target ==
           engine::CorruptionInjection::Target::kCachedBlock;
-  r.corruptions = opts.corruption_schedule.corruptions.size();
+  r.corruptions = plan.corruptions.size();
 
   if (rng.next_double() < 0.5) {
     engine::NodeFailure nf;
@@ -270,7 +270,7 @@ ChaosReport chaos_run(std::uint64_t seed, bool tiny) {
     // calls out).
     nf.at_sim_time = base.total_s * (0.15 + 0.7 * rng.next_double());
     if (rng.next_double() < 0.5) nf.rejoin_after_s = base.total_s * 0.25;
-    opts.failure_schedule.failures.push_back(nf);
+    plan.node_failures.push_back(nf);
     r.node_failures = 1;
   }
 
@@ -279,7 +279,7 @@ ChaosReport chaos_run(std::uint64_t seed, bool tiny) {
     oom.stage_id = rng.next_below(3);
     oom.attempts = 1;
     oom.task = rng.next_below(16);
-    opts.oom_schedule.ooms.push_back(oom);
+    plan.ooms.push_back(oom);
     // Keep the retry at the same partition count: adaptive repartition
     // changes reduction grouping and with it the floating-point sum order,
     // which would (legitimately) break bit-identity with the baseline.
@@ -290,8 +290,7 @@ ChaosReport chaos_run(std::uint64_t seed, bool tiny) {
   // -- faulty run, with the full event history recorded ---------------------
   const Trial fault_trial = make_trial(seed, tiny);
   if (cached_corruption) {
-    opts.corruption_schedule.corruptions.back().dataset_id =
-        fault_trial.cached_dataset_id;
+    plan.corruptions.back().dataset_id = fault_trial.cached_dataset_id;
   }
   engine::Engine eng(bench_cluster(), opts);
   obs::EventLog log;

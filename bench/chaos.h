@@ -1,6 +1,6 @@
-// Differential chaos harness (DESIGN.md §14): compose deterministic fault
-// schedules from a PRNG seed, run the same job graph with and without them
-// on identical clusters, and assert the faulty run is a slower but
+// Differential chaos harness (DESIGN.md §14): compose a deterministic fault
+// plan from a PRNG seed, run the same job graph with and without it on
+// identical clusters, and assert the faulty run is a slower but
 // bit-identical replica of the clean one.
 //
 // Checks per trial:
@@ -37,7 +37,7 @@ struct ChaosReport {
   bool ok = false;
   std::string failure;  ///< first divergence; empty when ok
 
-  // Composed schedule.
+  // Composed fault plan.
   std::size_t flaky_nodes = 0;
   std::size_t corruptions = 0;
   std::size_t node_failures = 0;

@@ -16,7 +16,7 @@
 //    (seq, wall stamps, kResume and the resume telemetry excluded);
 //  * strictly less work — whenever the plan adopted a committed prefix,
 //    the resumed run executed fewer stages than a cold rerun would;
-//  * fault arm — with an OOM injection schedule armed the engine must
+//  * fault arm — with an OOM injection in its fault plan the engine must
 //    refuse adoption (full deterministic rerun) and still match the
 //    faulty reference digest.
 //
@@ -213,7 +213,7 @@ void run_trial(ArmStats& st, const workloads::Workload& wl, double scale,
   if (!expect_adoption && resumed.resumed_stages != 0) {
     std::fprintf(stderr,
                  "FAIL [%s %s]: fault-injection run adopted %zu stage(s); "
-                 "retained schedules must force a full rerun\n",
+                 "retained-data fault plans must force a full rerun\n",
                  wl.name().c_str(), label, resumed.resumed_stages);
     ++st.adopt_failures;
   }
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
     oom.stage_id = 1;
     oom.attempts = 1;
     oom.task = 0;
-    oom_opts.oom_schedule.ooms.push_back(oom);
+    oom_opts.faults.ooms.push_back(oom);
     // Keep the OOM retry at the same partition count so the faulty timeline
     // is itself deterministic (same guard as bench/chaos.cc).
     oom_opts.memory.oom_repartition_after = 100;

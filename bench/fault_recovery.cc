@@ -60,7 +60,7 @@ struct Run {
 Run run_once(std::size_t num_partitions, double fail_at) {
   engine::EngineOptions opts = bench::vanilla_options();
   if (fail_at >= 0.0) {
-    opts.failure_schedule.failures.push_back(engine::NodeFailure{
+    opts.faults.node_failures.push_back(engine::NodeFailure{
         /*node=*/1, /*at_sim_time=*/fail_at, /*at_stage_id=*/-1,
         /*rejoin_after_s=*/-1.0});
   }

@@ -17,10 +17,11 @@ std::size_t JobRunner::adopt_restored() {
   // Classic single-job mode only: adoption rewinds engine-global state (the
   // sim clock, the stage-id counter) that concurrent service jobs share.
   if (ctx_.control != nullptr) return 0;
-  // Retained-data configurations (failure/memory/OOM/flaky/corruption
-  // schedules) can retry attempts; their committed rows are not guaranteed
-  // to describe a clean first-attempt execution of engine-global effects.
-  // Full deterministic re-execution is bit-identical anyway.
+  // Retained-data configurations (enforced memory, planned node failures,
+  // OOMs, flaky fetches or corruptions) can retry attempts; their committed
+  // rows are not guaranteed to describe a clean first-attempt execution of
+  // engine-global effects. Full deterministic re-execution is bit-identical
+  // anyway.
   if (retain_) return 0;
   auto& jobs = eng_.resume_ledger_->jobs;
   if (ctx_.job_id >= jobs.size()) return 0;

@@ -62,7 +62,7 @@ struct CachedDataset {
   std::shared_ptr<Partitioner> partitioner;  ///< may be null (no known scheme)
   /// Per-partition integrity checksums, recorded when the block store
   /// commits and refreshed after heals. Empty == checksums off (no
-  /// CorruptionSchedule armed). A sum whose partition is unavailable is
+  /// FaultPlan::corruptions planned). A sum whose partition is unavailable is
   /// stale and ignored until the heal refreshes it.
   std::vector<std::uint64_t> sums;
   /// The dataset node this materialization snapshots. Owning: keeps the

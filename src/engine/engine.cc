@@ -1,11 +1,35 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/event_log.h"
 
 namespace chopper::engine {
+
+namespace {
+
+/// A plan entry the run could never honour is a caller error: reject it
+/// before any job runs, so no reader of the plan has to guard against it.
+void validate_fault_plan(const FaultPlan& f, std::size_t num_nodes) {
+  const auto past = [num_nodes](std::size_t n) { return n >= num_nodes; };
+  const auto is_prob = [](double p) { return p >= 0.0 && p <= 1.0; };
+  const char* why = nullptr;
+  if (std::any_of(f.node_failures.begin(), f.node_failures.end(),
+                  [&](const NodeFailure& nf) { return past(nf.node); }) ||
+      std::any_of(f.flaky_nodes.begin(), f.flaky_nodes.end(), past)) {
+    why = "names a node past the cluster";
+  } else if (!is_prob(f.fetch_failure_prob) || !is_prob(f.task_failure_prob)) {
+    why = "holds a probability outside [0, 1]";
+  } else if (f.max_attempts == 0) {
+    why = "sets max_attempts to 0";
+  }
+  if (why) throw std::invalid_argument(std::string("FaultPlan ") + why);
+}
+
+}  // namespace
 
 Engine::Engine(ClusterSpec cluster, EngineOptions options)
     : cluster_(std::move(cluster)),
@@ -15,6 +39,7 @@ Engine::Engine(ClusterSpec cluster, EngineOptions options)
         for (const auto& n : cluster_.nodes()) mem += n.memory_bytes;
         return mem;
       }()) {
+  validate_fault_plan(options_.faults, cluster_.num_nodes());
   // Interleaved slot ownership: round-robin over nodes, each node
   // contributing one slot per round while it still has cores left. Placement
   // `node_for` walks this list, which spreads consecutive partitions across
@@ -67,9 +92,8 @@ Engine::~Engine() = default;
 
 void Engine::reset_failure_state() {
   node_alive_.assign(cluster_.num_nodes(), 1);
-  failure_state_.assign(options_.failure_schedule.failures.size(),
-                        FailureState{});
-  corruption_fired_.assign(options_.corruption_schedule.corruptions.size(), 0);
+  failure_state_.assign(options_.faults.node_failures.size(), FailureState{});
+  corruption_fired_.assign(options_.faults.corruptions.size(), 0);
 }
 
 std::size_t Engine::alive_node_count() const noexcept {
@@ -140,7 +164,7 @@ void Engine::reset_metrics() {
   next_job_id_.store(0);
   next_stage_id_.store(0);
   // Failure triggers key off the simulated clock / stage counter, so a clock
-  // reset also re-arms the schedule and revives dead nodes.
+  // reset also re-arms the fault plan and revives dead nodes.
   reset_failure_state();
 }
 

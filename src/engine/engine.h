@@ -55,17 +55,6 @@ struct AdaptiveCoalescing {
   std::size_t max_partitions = 10'000;
 };
 
-/// Deterministic fault injection for the simulated cluster. Failures never
-/// corrupt results (the real computation always completes); they model the
-/// *time* cost of Spark's task retries: each failed attempt burns
-/// `failed_attempt_fraction` of the task's duration before the retry.
-struct FaultInjection {
-  double task_failure_prob = 0.0;  ///< per-attempt failure probability
-  std::size_t max_attempts = 4;    ///< attempts before the job aborts
-  double failed_attempt_fraction = 0.6;
-  std::uint64_t seed = 0x5eed;
-};
-
 /// Speculative execution (spark.speculation): a task whose duration exceeds
 /// `multiplier` x the stage median is assumed to get a backup copy; its
 /// effective duration becomes min(original, median * multiplier + launch).
@@ -120,17 +109,11 @@ struct EngineOptions {
   /// routes all reduction to the reduce-side merge.
   bool map_side_combine = true;
   AdaptiveCoalescing adaptive;
-  FaultInjection faults;
-  /// Whole-node failures with real data loss + lineage recovery (fault.h).
-  FailureSchedule failure_schedule;
+  /// Every injected fault: node failures, OOMs, flaky fetches, corruption
+  /// and task retries, with their seed and attempt bound (fault.h).
+  FaultPlan faults;
   /// Enforced memory budgets: eviction, spill-to-disk, OOM (DESIGN.md §11).
   MemoryLimits memory;
-  /// Deterministic task-OOM injection (fault.h), orthogonal to `memory`.
-  OomSchedule oom_schedule;
-  /// Transient shuffle-fetch flakiness with backoff retry (DESIGN.md §14).
-  FlakySchedule flaky_schedule;
-  /// Deterministic silent corruption; arms block integrity checksums.
-  CorruptionSchedule corruption_schedule;
   /// Node health scoreboard / placement-exclusion policy (fault.h).
   NodeHealthPolicy health;
   Speculation speculation;
@@ -153,8 +136,8 @@ class JobAbortedError : public std::runtime_error {
 };
 
 /// A stage exhausted its attempt budget with every attempt killed by an
-/// out-of-memory task (enforced MemoryLimits ceiling or injected
-/// OomSchedule) even after adaptive repartition. Derives from
+/// out-of-memory task (enforced MemoryLimits ceiling or an injected
+/// FaultPlan::ooms entry) even after adaptive repartition. Derives from
 /// JobAbortedError so every existing abort/cleanup path (shuffle release,
 /// failed JobMetrics row, JobServer error propagation) applies unchanged.
 class TaskOomError : public JobAbortedError {
@@ -210,6 +193,8 @@ struct JobControl {
 
 class Engine {
  public:
+  /// Throws std::invalid_argument when `options.faults` names a node past
+  /// the cluster, a probability outside [0, 1] or a zero attempt bound.
   explicit Engine(ClusterSpec cluster, EngineOptions options = {});
   ~Engine();
 
@@ -224,8 +209,8 @@ class Engine {
 
   /// Service entry point: run a job under an external control block (virtual
   /// clock, slot arbiter, cancellation). Multiple run_controlled jobs may be
-  /// in flight concurrently on different threads; they must not use a
-  /// failure schedule (node-death state is engine-global). With a null
+  /// in flight concurrently on different threads; their fault plan must
+  /// hold no engine-global entry (FaultPlan::engine_global). With a null
   /// control this is exactly count()/collect().
   JobResult run_controlled(const DatasetPtr& ds, bool collect_records,
                            std::string job_name, const JobControl* control);
@@ -255,7 +240,7 @@ class Engine {
   /// state) for the current run; cleared by reset_metrics().
   const NodeHealth& node_health() const noexcept { return health_; }
 
-  /// Is node n currently alive (failure schedule may have killed it)?
+  /// Is node n currently alive (a planned node failure may have killed it)?
   bool node_alive(std::size_t n) const { return node_alive_.at(n) != 0; }
   std::size_t alive_node_count() const noexcept;
 
@@ -321,7 +306,7 @@ class Engine {
   JobResult run_job(const DatasetPtr& root, bool collect_records,
                     std::string job_name, const JobControl* control = nullptr);
 
-  /// Per-failure runtime state for the deterministic failure schedule.
+  /// Runtime state of one FaultPlan::node_failures entry.
   struct FailureState {
     bool fired = false;
     bool rejoined = false;
@@ -347,8 +332,8 @@ class Engine {
   std::mutex plan_mu_;
   std::vector<char> node_alive_;
   std::vector<FailureState> failure_state_;
-  /// corruption_fired_[i]: CorruptionSchedule entry i already flipped its
-  /// byte this run (injections fire once, like node failures).
+  /// corruption_fired_[i]: FaultPlan::corruptions entry i already flipped
+  /// its byte this run (injections fire once, like node failures).
   std::vector<char> corruption_fired_;
   NodeHealth health_;
   double sim_clock_ = 0.0;

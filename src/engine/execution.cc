@@ -569,6 +569,7 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     }
   }
 
+  const FaultPlan& faults = eng_.options_.faults;
   a.durations.assign(rt.num_tasks, 0.0);
   a.fetch_portion.assign(rt.num_tasks, 0.0);
   a.compute_portion.assign(rt.num_tasks, 0.0);
@@ -589,29 +590,28 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     // row. Every failure burns the detection timeout plus an exponential
     // backoff; a retry that goes on to succeed also re-pays the segment
     // transfer (counted in refetched_bytes, never in shuffle_read_remote).
-    // A segment that exhausts max_fetch_attempts escalates: the attempt is
+    // A segment that exhausts kMaxFetchAttempts escalates: the attempt is
     // abandoned and the source's map outputs deregistered (run_stage).
-    if (flaky_ && !a.work[p].remote_fetch.empty()) {
-      const FlakySchedule& fl = eng_.options_.flaky_schedule;
+    if (faults.fetch_failure_prob > 0.0 && !a.work[p].remote_fetch.empty()) {
       const double rescale = 1.0 / cm_.data_scale;
       double delay = 0.0;
       for (const auto& [src, bytes] : a.work[p].remote_fetch) {
-        if (!fl.node_flaky(src)) continue;
+        if (!faults.node_flaky(src)) continue;
         common::Xoshiro256 rng(common::hash_combine(
-            common::hash_combine(common::hash_combine(fl.seed, sm.stage_id),
+            common::hash_combine(common::hash_combine(faults.seed, sm.stage_id),
                                  sm.attempt_count),
             common::hash_combine(src, p + 1)));
         std::size_t fails = 0;
-        while (fails < fl.max_fetch_attempts &&
-               rng.next_double() < fl.fetch_failure_prob) {
+        while (fails < kMaxFetchAttempts &&
+               rng.next_double() < faults.fetch_failure_prob) {
           ++fails;
         }
         if (fails == 0) continue;
         a.work[p].fetch_retries += fails;
         for (std::size_t i = 1; i <= fails; ++i) {
-          delay += fl.timeout_s + fl.backoff_s(i);
+          delay += kFetchTimeoutS + fetch_backoff_s(i);
         }
-        if (fails >= fl.max_fetch_attempts) {
+        if (fails >= kMaxFetchAttempts) {
           if (esc_src[p] == kNpos) esc_src[p] = src;
         } else {
           const double bw =
@@ -643,20 +643,20 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
       }
     }
 
-    // Deterministic fault injection: failed attempts burn a fraction of
-    // the duration before Spark-style retry.
-    if (eng_.options_.faults.task_failure_prob > 0.0) {
+    // Injected task retries: failed attempts burn a fraction of the
+    // duration before Spark-style retry.
+    if (faults.task_failure_prob > 0.0) {
       common::Xoshiro256 frng(common::hash_combine(
-          common::hash_combine(eng_.options_.faults.seed, sm.stage_id), p + 1));
+          common::hash_combine(faults.seed, sm.stage_id), p + 1));
       double total = 0.0;
       std::size_t attempt = 1;
-      while (frng.next_double() < eng_.options_.faults.task_failure_prob) {
-        if (attempt >= eng_.options_.faults.max_attempts) {
+      while (frng.next_double() < faults.task_failure_prob) {
+        if (attempt >= faults.max_attempts) {
           throw JobAbortedError("task " + std::to_string(p) + " of stage " +
                                 plan.name +
                                 " exceeded max attempts (injected faults)");
         }
-        total += duration * eng_.options_.faults.failed_attempt_fraction;
+        total += duration * kFailedAttemptFraction;
         ++attempt;
       }
       duration += total;
@@ -682,20 +682,18 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   a.makespan =
       list_schedule(rt.task_node, a.durations, a.starts, a.ends, a.slots);
 
-  if (flaky_) {
-    // Stage-level retry telemetry accumulates across every attempt, even
-    // ones later discarded — the retries still burned simulated time.
-    for (const TaskWork& tw : a.work) {
-      sm.fetch_retries += tw.fetch_retries;
-      sm.refetched_bytes += tw.refetched_bytes;
-    }
-    // The earliest-ending escalated task decides where the attempt dies.
-    for (std::size_t p = 0; p < rt.num_tasks; ++p) {
-      if (esc_src[p] == kNpos) continue;
-      if (a.flaky_task == kNpos || a.ends[p] < a.ends[a.flaky_task]) {
-        a.flaky_task = p;
-        a.flaky_src = esc_src[p];
-      }
+  // Stage-level retry telemetry accumulates across every attempt, even ones
+  // later discarded — the retries still burned simulated time.
+  for (const TaskWork& tw : a.work) {
+    sm.fetch_retries += tw.fetch_retries;
+    sm.refetched_bytes += tw.refetched_bytes;
+  }
+  // The earliest-ending escalated task decides where the attempt dies.
+  for (std::size_t p = 0; p < rt.num_tasks; ++p) {
+    if (esc_src[p] == kNpos) continue;
+    if (a.flaky_task == kNpos || a.ends[p] < a.ends[a.flaky_task]) {
+      a.flaky_task = p;
+      a.flaky_src = esc_src[p];
     }
   }
 

@@ -1,26 +1,29 @@
-// Fault model types shared by the engine layers.
+// The engine's fault model: one deterministic FaultPlan (EngineOptions::
+// faults) names every fault a run injects (see DESIGN.md §9 and §14).
 //
-// The fault taxonomy has three tiers (see DESIGN.md §9 and §14):
-//  * fail-stop — FailureSchedule (here): whole-node failures that actually
-//    destroy the node's shuffle map outputs and cached partitions. The
-//    scheduler detects the loss at the next stage barrier (a fetch failure),
-//    replays the producer lineage for exactly the lost partitions on
-//    surviving nodes, and prices the recomputation into the simulated
-//    makespan — Spark's lineage-based recovery. FaultInjection (engine.h) is
-//    the degenerate duration-only cousin: failures never lose data, they
-//    only burn simulated time.
-//  * transient — FlakySchedule (here): shuffle fetches fail per
+// Its entries span four tiers:
+//  * fail-stop — node_failures: whole-node failures that actually destroy
+//    the node's shuffle map outputs and cached partitions. The scheduler
+//    detects the loss at the next stage barrier (a fetch failure), replays
+//    the producer lineage for exactly the lost partitions on surviving
+//    nodes, and prices the recomputation into the simulated makespan —
+//    Spark's lineage-based recovery. ooms kill leading attempts of a stage
+//    the way an enforced memory ceiling does.
+//  * transient — fetch_failure_prob / flaky_nodes: shuffle fetches fail per
 //    (node, stage, attempt) and are retried in place with deterministic
-//    exponential backoff; only after `max_fetch_attempts` does the failure
+//    exponential backoff; only after kMaxFetchAttempts does the failure
 //    escalate to a stage-level fetch-failure retry.
-//  * corruption — CorruptionSchedule (here): stored bytes flip silently;
-//    block checksums detect the damage at the next read barrier and lineage
-//    heal recomputes exactly the poisoned pieces.
+//  * corruption — corruptions: stored bytes flip silently; block checksums
+//    detect the damage at the next read barrier and lineage heal recomputes
+//    exactly the poisoned pieces.
+//  * duration-only — task_failure_prob: failed task attempts never lose
+//    data, they only burn simulated time before Spark's task retry.
 // NodeHealthPolicy configures the scoreboard that turns any of these
 // failures into placement exclusion with backoff re-admission (Spark's
 // excludeOnFailure); see engine/health.h.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -55,19 +58,6 @@ struct NodeFailure {
   double rejoin_after_s = -1.0;
 };
 
-/// Deterministic node-failure schedule. Non-empty schedules switch the
-/// engine into fault-tolerant execution: shuffle reads copy instead of
-/// consume and map outputs are retained until job end so lineage replay has
-/// surviving data to work from.
-struct FailureSchedule {
-  std::vector<NodeFailure> failures;
-  /// Bound on executions of one stage (initial attempt + fetch-failure
-  /// retries) before the job aborts — Spark's spark.stage.maxConsecutiveAttempts.
-  std::size_t max_stage_attempts = 4;
-
-  bool enabled() const noexcept { return !failures.empty(); }
-};
-
 /// One injected task OOM: the stage with global id `stage_id` fails its
 /// first `attempts` executions with a TaskOomError attributed to task
 /// `task` (clamped to the stage's partition count). Injection is independent
@@ -78,62 +68,6 @@ struct OomInjection {
   std::size_t stage_id = 0;  ///< global stage id (StageMetrics::stage_id)
   std::size_t attempts = 1;  ///< number of leading attempts that OOM
   std::size_t task = 0;      ///< victim task index (clamped)
-};
-
-/// Deterministic OOM fault injector, sibling of FailureSchedule. A non-empty
-/// schedule (like an enforced memory budget) switches the engine into
-/// retained-shuffle execution so stage attempts can be retried.
-struct OomSchedule {
-  std::vector<OomInjection> ooms;
-
-  bool enabled() const noexcept { return !ooms.empty(); }
-};
-
-/// Transient shuffle-fetch flakiness. Whether the i-th fetch attempt of a
-/// (stage attempt, reduce task, source node) segment fails is drawn from a
-/// PRNG seeded by hashing exactly that tuple, so a run is reproducible
-/// bit-for-bit from (seed, schedule) alone and a retried stage attempt draws
-/// a fresh, independent failure sequence. Each failed fetch burns
-/// `timeout_s` plus an exponential backoff of simulated time, then re-pays
-/// the segment transfer (the re-transferred bytes are surfaced as
-/// `refetched_bytes`, never double-counted into shuffle-read totals). When
-/// one segment fails `max_fetch_attempts` times in a row, the stage attempt
-/// is abandoned as a fetch failure: the source node's map outputs are
-/// deregistered (Spark removes a fetch-failed executor's map statuses) and
-/// the existing stage-retry path heals them via lineage replay on healthier
-/// nodes. Enabling the schedule switches the engine into retained-shuffle
-/// execution like the other retry-capable fault models.
-struct FlakySchedule {
-  /// Per-fetch-attempt failure probability for remote segments served by a
-  /// flaky node. 0 disables the schedule.
-  double fetch_failure_prob = 0.0;
-  std::uint64_t seed = 0xf1a4;
-  /// Consecutive failed fetches of one segment before the stage attempt is
-  /// abandoned (spark.shuffle.io.maxRetries).
-  std::size_t max_fetch_attempts = 3;
-  /// Backoff before retry i (1-based): min(base * mult^(i-1), max) simulated
-  /// seconds (spark.shuffle.io.retryWait, exponentialized).
-  double backoff_base_s = 0.05;
-  double backoff_mult = 2.0;
-  double backoff_max_s = 2.0;
-  /// Simulated time a failed fetch burns before it is declared dead.
-  double timeout_s = 0.1;
-  /// Restrict flakiness to these source nodes (empty: every node is flaky).
-  std::vector<std::size_t> nodes;
-
-  bool enabled() const noexcept { return fetch_failure_prob > 0.0; }
-  bool node_flaky(std::size_t n) const noexcept {
-    if (nodes.empty()) return true;
-    for (const std::size_t x : nodes) {
-      if (x == n) return true;
-    }
-    return false;
-  }
-  double backoff_s(std::size_t retry) const noexcept {  // retry is 1-based
-    double b = backoff_base_s;
-    for (std::size_t i = 1; i < retry; ++i) b *= backoff_mult;
-    return b < backoff_max_s ? b : backoff_max_s;
-  }
 };
 
 /// One deterministic silent-corruption injection: flip one byte of stored
@@ -156,14 +90,83 @@ struct CorruptionInjection {
   std::size_t byte_offset = 0;
 };
 
-/// Deterministic corruption injector. A non-empty schedule arms block
-/// integrity checksums on shuffle map outputs and cached partitions and
-/// switches the engine into retained-shuffle execution (detection triggers
-/// the same lineage heal as a node failure, scoped to the poisoned pieces).
-struct CorruptionSchedule {
-  std::vector<CorruptionInjection> corruptions;
+/// Consecutive failed fetches of one segment before the stage attempt is
+/// abandoned (spark.shuffle.io.maxRetries).
+inline constexpr std::size_t kMaxFetchAttempts = 3;
+/// Backoff before fetch retry i (1-based): min(kFetchBackoffBaseS *
+/// kFetchBackoffMult^(i-1), kFetchBackoffMaxS) simulated seconds
+/// (spark.shuffle.io.retryWait, exponentialized).
+inline constexpr double kFetchBackoffBaseS = 0.05;
+inline constexpr double kFetchBackoffMult = 2.0;
+inline constexpr double kFetchBackoffMaxS = 2.0;
+/// Simulated time a failed fetch burns before it is declared dead.
+inline constexpr double kFetchTimeoutS = 0.1;
+/// Share of a task's duration that a failed injected attempt burns before
+/// its retry.
+inline constexpr double kFailedAttemptFraction = 0.6;
 
-  bool enabled() const noexcept { return !corruptions.empty(); }
+inline double fetch_backoff_s(std::size_t retry) noexcept {  // 1-based
+  double b = kFetchBackoffBaseS;
+  for (std::size_t i = 1; i < retry; ++i) b *= kFetchBackoffMult;
+  return b < kFetchBackoffMaxS ? b : kFetchBackoffMaxS;
+}
+
+/// Every fault a run injects. The default plan injects nothing. The Engine
+/// validates a plan once, at construction (std::invalid_argument for a node
+/// index past the cluster, a probability outside [0, 1] or a zero attempt
+/// bound).
+///
+/// Flaky fetches: whether the i-th fetch attempt of a (stage attempt, reduce
+/// task, source node) segment fails is drawn from a PRNG seeded by hashing
+/// `seed` with exactly that tuple, so a run is reproducible bit-for-bit from
+/// the plan alone and a retried stage attempt draws a fresh, independent
+/// failure sequence. Each failed fetch burns kFetchTimeoutS plus the backoff
+/// of simulated time, then re-pays the segment transfer (the re-transferred
+/// bytes are surfaced as `refetched_bytes`, never double-counted into
+/// shuffle-read totals). When one segment fails kMaxFetchAttempts times in a
+/// row, the stage attempt is abandoned as a fetch failure: the source node's
+/// map outputs are deregistered (Spark removes a fetch-failed executor's map
+/// statuses) and the stage-retry path heals them via lineage replay on
+/// healthier nodes.
+///
+/// Every entry but task retries switches the engine into retained-shuffle
+/// execution: shuffle reads copy instead of consume and map outputs are
+/// retained until job end so lineage replay has surviving data to work
+/// from. A non-empty `corruptions` list also arms block checksums.
+struct FaultPlan {
+  std::vector<NodeFailure> node_failures;
+  std::vector<OomInjection> ooms;
+  std::vector<CorruptionInjection> corruptions;
+  /// Per-fetch-attempt failure probability for remote segments served by a
+  /// flaky node. 0 disables flaky fetches.
+  double fetch_failure_prob = 0.0;
+  /// Flaky source nodes (empty: every node is flaky).
+  std::vector<std::size_t> flaky_nodes;
+  /// Per-attempt failure probability of every task. A failed attempt burns
+  /// kFailedAttemptFraction of the task's duration; data is never lost.
+  double task_failure_prob = 0.0;
+  /// Seed of the flaky-fetch and task-retry draws.
+  std::uint64_t seed = 0xf1a4;
+  /// Bound on executions of one stage (initial attempt + retries) and on the
+  /// attempts of one injected-faulty task; reaching it aborts the job —
+  /// Spark's spark.stage.maxConsecutiveAttempts and spark.task.maxFailures.
+  std::size_t max_attempts = 4;
+
+  /// Entries that change engine-global state (node liveness, fired
+  /// corruptions, the map outputs a flaky escalation deregisters from every
+  /// job): a JobServer refuses them.
+  bool engine_global() const noexcept {
+    return !node_failures.empty() || fetch_failure_prob > 0.0 ||
+           !corruptions.empty();
+  }
+  /// Entries that can retry a stage attempt or heal a block.
+  bool retains_data() const noexcept {
+    return engine_global() || !ooms.empty();
+  }
+  bool node_flaky(std::size_t n) const noexcept {
+    const auto& v = flaky_nodes;
+    return v.empty() || std::find(v.begin(), v.end(), n) != v.end();
+  }
 };
 
 /// Node health exclusion policy (Spark's excludeOnFailure): a node that

@@ -52,7 +52,7 @@ struct TaskWork {
   std::uint64_t shuffle_read_local = 0;
   /// Bytes read back from the disk tier (spilled shuffle rows).
   std::uint64_t disk_read_bytes = 0;
-  /// Transient fetch failures retried in place (FlakySchedule) and the bytes
+  /// Transient fetch failures retried in place (flaky fetches) and the bytes
   /// those retries re-transferred. Kept separate from shuffle_read_remote so
   /// logical shuffle volume is counted once regardless of flakiness.
   std::size_t fetch_retries = 0;
@@ -135,12 +135,9 @@ class JobRunner {
       : eng_(eng),
         ctx_(ctx),
         cm_(eng.options_.cost_model),
-        ft_(eng.options_.failure_schedule.enabled()),
         mem_(eng.options_.memory.enforce),
-        oom_inj_(eng.options_.oom_schedule.enabled()),
-        flaky_(eng.options_.flaky_schedule.enabled()),
-        corrupt_(eng.options_.corruption_schedule.enabled()),
-        retain_(ft_ || mem_ || oom_inj_ || flaky_ || corrupt_),
+        corrupt_(!eng.options_.faults.corruptions.empty()),
+        retain_(mem_ || eng.options_.faults.retains_data()),
         job_metrics_(ctx.result) {}
 
   JobResult run();
@@ -292,7 +289,7 @@ class JobRunner {
 
   // -- Memory machinery (memory.cc, DESIGN.md §11) ----------------------------
   /// Scan a priced attempt for the first task to die of OOM (enforced
-  /// ceiling or injected schedule); records it in a.oom_task.
+  /// ceiling or a planned injection); records it in a.oom_task.
   void detect_oom(std::size_t s, const StageMetrics& sm, Attempt& a) const;
   /// Adaptive repartition-on-OOM: retry stage s with P' = ceil(P * growth).
   /// Shuffle-input stages re-bucket their retained parent map outputs under
@@ -360,16 +357,13 @@ class JobRunner {
   Engine& eng_;
   Engine::JobContext& ctx_;
   const CostModel& cm_;
-  const bool ft_;       ///< failure schedule active
-  const bool mem_;      ///< memory budgets enforced
-  const bool oom_inj_;  ///< OOM injection schedule active
-  const bool flaky_;    ///< transient fetch-failure injection active
-  /// Corruption schedule armed: record block checksums at publish and
-  /// verify them before every read.
+  const bool mem_;  ///< memory budgets enforced
+  /// Corruptions planned: record block checksums at publish and verify them
+  /// before every read.
   const bool corrupt_;
   /// Retained-data mode: map outputs live until job end. Every model that
-  /// can retry a stage attempt or heal a block needs it: node failures,
-  /// enforced memory, OOM injection, flaky fetches and corruption.
+  /// can retry a stage attempt or heal a block needs it: enforced memory and
+  /// every fault plan entry but task retries.
   const bool retain_;
   /// The job's row: the result's JobMetrics base, committed by run().
   JobMetrics& job_metrics_;

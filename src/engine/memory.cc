@@ -34,15 +34,13 @@ void JobRunner::detect_oom(std::size_t s, const StageMetrics& sm,
       }
     }
   }
-  if (oom_inj_) {
-    for (const auto& inj : eng_.options_.oom_schedule.ooms) {
-      if (inj.stage_id != sm.stage_id || sm.attempt_count > inj.attempts) {
-        continue;
-      }
-      const std::size_t victim = std::min(inj.task, rt.num_tasks - 1);
-      if (a.oom_task == kNpos || a.ends[victim] < a.ends[a.oom_task]) {
-        a.oom_task = victim;
-      }
+  for (const OomInjection& inj : eng_.options_.faults.ooms) {
+    if (inj.stage_id != sm.stage_id || sm.attempt_count > inj.attempts) {
+      continue;
+    }
+    const std::size_t victim = std::min(inj.task, rt.num_tasks - 1);
+    if (a.oom_task == kNpos || a.ends[victim] < a.ends[a.oom_task]) {
+      a.oom_task = victim;
     }
   }
 }

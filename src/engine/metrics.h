@@ -33,7 +33,7 @@ struct TaskMetrics {
   double compute_s = 0.0;     ///< CPU portion of the task
   double fetch_s = 0.0;       ///< shuffle fetch portion
   std::size_t attempts = 1;   ///< execution attempts (>1 under fault injection)
-  /// Transient fetch retries this task paid for (FlakySchedule backoff).
+  /// Transient fetch retries this task paid for (flaky-fetch backoff).
   std::size_t fetch_retries = 0;
   /// Modeled working-set bytes past the slot's spill threshold.
   std::uint64_t spilled_bytes = 0;

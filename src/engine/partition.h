@@ -115,7 +115,7 @@ class Partition {
   /// the payload pool; falls back to a key byte for payload-less records,
   /// no-op on an empty partition). Deliberately leaves `bytes_` and the
   /// recorded checksum stale — this is the silent corruption a
-  /// CorruptionSchedule models.
+  /// CorruptionInjection models.
   void corrupt_byte(std::size_t byte_offset) noexcept;
 
   /// Append all records of `other` (bulk array splice; empties `other`).

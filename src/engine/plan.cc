@@ -157,8 +157,11 @@ class PlanBuilder {
     stage.signature = stage_signature(stage);
     stage.name = stage_name(stage);
     plan_.stages.push_back(std::move(stage));
+    // Once per producer: a self-join or self-union lists its producer twice
+    // but reads one shuffle for both sides.
     for (const std::size_t p : plan_.stages[idx].parent_stages) {
-      plan_.stages[p].consumers.push_back(idx);
+      auto& cs = plan_.stages[p].consumers;
+      if (cs.empty() || cs.back() != idx) cs.push_back(idx);
     }
     memo_[out] = idx;
     return idx;

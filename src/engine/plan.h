@@ -65,7 +65,7 @@ struct StagePlan {
   const Dataset* anchor = nullptr;       ///< source / wide / cached node
   std::vector<const Dataset*> narrow_ops;///< applied after anchor, exec order
   std::vector<std::size_t> parent_stages;///< producers (kShuffle: per anchor parent)
-  std::vector<std::size_t> consumers;    ///< stages reading our shuffle write
+  std::vector<std::size_t> consumers;    ///< readers of our shuffle, each once
   std::uint64_t signature = 0;
   std::string name;
   bool is_result = false;

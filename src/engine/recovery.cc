@@ -36,10 +36,9 @@ bool is_narrow_kind(OpKind op) {
 // ---------------------------------------------------------------------------
 
 void JobRunner::fire_failure(std::size_t i, double at_time) {
-  const NodeFailure& f = eng_.options_.failure_schedule.failures[i];
+  const NodeFailure& f = eng_.options_.faults.node_failures[i];
   auto& fs = eng_.failure_state_[i];
   fs.fired = true;
-  if (f.node >= eng_.cluster_.num_nodes()) return;  // ignore bogus entries
   if (f.rejoin_after_s >= 0.0) fs.rejoin_at = at_time + f.rejoin_after_s;
   eng_.node_alive_[f.node] = 0;
   // The node's data dies with it: shuffle map outputs and cached blocks.
@@ -61,16 +60,16 @@ void JobRunner::fire_failure(std::size_t i, double at_time) {
 }
 
 void JobRunner::process_barrier_failures(std::size_t stage_global_id) {
-  const auto& sched = eng_.options_.failure_schedule;
+  const auto& failures = eng_.options_.faults.node_failures;
   // Rejoins first: a node whose rejoin time passed comes back (empty — its
   // data stays lost; only fresh tasks may land on it again).
-  for (std::size_t i = 0; i < sched.failures.size(); ++i) {
+  for (std::size_t i = 0; i < failures.size(); ++i) {
     auto& fs = eng_.failure_state_[i];
     if (fs.fired && !fs.rejoined && fs.rejoin_at >= 0.0 &&
         now() >= fs.rejoin_at) {
       fs.rejoined = true;
-      const std::size_t n = sched.failures[i].node;
-      if (n < eng_.cluster_.num_nodes()) eng_.node_alive_[n] = 1;
+      const std::size_t n = failures[i].node;
+      eng_.node_alive_[n] = 1;
       if (tracing()) {
         obs::Event e;
         e.kind = obs::EventKind::kNodeUp;
@@ -80,8 +79,8 @@ void JobRunner::process_barrier_failures(std::size_t stage_global_id) {
       }
     }
   }
-  for (std::size_t i = 0; i < sched.failures.size(); ++i) {
-    const NodeFailure& f = sched.failures[i];
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const NodeFailure& f = failures[i];
     if (eng_.failure_state_[i].fired) continue;
     const bool stage_hit =
         f.at_stage_id >= 0 &&
@@ -125,7 +124,7 @@ bool JobRunner::stage_depends_on_node(std::size_t s, std::size_t node) const {
 
 bool JobRunner::scan_window_failures(std::size_t s, StageMetrics& sm,
                                      double makespan) {
-  const auto& sched = eng_.options_.failure_schedule;
+  const auto& failures = eng_.options_.faults.node_failures;
   const double attempt_start = now();
   const double window_end = attempt_start + makespan;
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -134,8 +133,8 @@ bool JobRunner::scan_window_failures(std::size_t s, StageMetrics& sm,
     // Earliest unfired sim-time failure strictly inside the attempt window.
     std::size_t best = npos;
     double best_t = window_end;
-    for (std::size_t i = 0; i < sched.failures.size(); ++i) {
-      const NodeFailure& f = sched.failures[i];
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+      const NodeFailure& f = failures[i];
       if (eng_.failure_state_[i].fired || f.at_sim_time < 0.0) continue;
       if (f.at_sim_time > attempt_start && f.at_sim_time < window_end &&
           (best == npos || f.at_sim_time < best_t)) {
@@ -147,7 +146,7 @@ bool JobRunner::scan_window_failures(std::size_t s, StageMetrics& sm,
 
     // Decide whether this attempt even notices the death *before* firing it
     // (firing marks the data lost, which would taint the test).
-    const bool affects = stage_depends_on_node(s, sched.failures[best].node);
+    const bool affects = stage_depends_on_node(s, failures[best].node);
     fire_failure(best, best_t);
     if (affects) {
       // Fetch failure / executor loss mid-stage: the attempt dies at the
@@ -160,7 +159,7 @@ bool JobRunner::scan_window_failures(std::size_t s, StageMetrics& sm,
         e.job = ctx_.job_id;
         e.stage = sm.stage_id;
         e.plan_index = s;
-        e.node = sched.failures[best].node;
+        e.node = failures[best].node;
         e.value = best_t - attempt_start;  // wasted attempt time
         emit(std::move(e));
       }
@@ -276,9 +275,9 @@ void JobRunner::note_checksum_failure(StageMetrics& sm, std::size_t task,
 
 void JobRunner::fire_shuffle_corruption(std::size_t stage_global_id,
                                         ShuffleOutput& so) {
-  const auto& sched = eng_.options_.corruption_schedule;
-  for (std::size_t i = 0; i < sched.corruptions.size(); ++i) {
-    const CorruptionInjection& inj = sched.corruptions[i];
+  const auto& corruptions = eng_.options_.faults.corruptions;
+  for (std::size_t i = 0; i < corruptions.size(); ++i) {
+    const CorruptionInjection& inj = corruptions[i];
     if (eng_.corruption_fired_[i] ||
         inj.target != CorruptionInjection::Target::kShuffleRow ||
         inj.stage_id != stage_global_id || so.num_map_tasks == 0) {
@@ -294,9 +293,9 @@ void JobRunner::fire_shuffle_corruption(std::size_t stage_global_id,
 
 void JobRunner::fire_cache_corruption(std::size_t dataset_id,
                                       CachedDataset& cd) {
-  const auto& sched = eng_.options_.corruption_schedule;
-  for (std::size_t i = 0; i < sched.corruptions.size(); ++i) {
-    const CorruptionInjection& inj = sched.corruptions[i];
+  const auto& corruptions = eng_.options_.faults.corruptions;
+  for (std::size_t i = 0; i < corruptions.size(); ++i) {
+    const CorruptionInjection& inj = corruptions[i];
     if (eng_.corruption_fired_[i] ||
         inj.target != CorruptionInjection::Target::kCachedBlock ||
         inj.dataset_id != dataset_id || cd.partitions.empty()) {
@@ -610,8 +609,8 @@ void JobRunner::recover_cached_blocks(const Dataset* anchor, StageMetrics& sm) {
     throw JobAbortedError("recovery job failed to rematerialize '" +
                           anchor->label() + "'");
   }
-  // Recovery sub-jobs always run on the engine clock (failure schedules are
-  // a single-job-mode feature; the service rejects engines that enable one).
+  // Recovery sub-jobs always run on the engine clock (node failures are a
+  // single-job-mode feature; the service rejects plans that hold one).
   sm.recovery_time_s += eng_.sim_clock_ - sim_before;
   auto g = eng_.block_manager_.guard();
   for (const std::size_t m : missing) {

@@ -7,7 +7,8 @@
 // Adoption semantics (adoption.cc, JobRunner::adopt_restored): a job whose
 // ledger entry carries a *clean* committed prefix — attempt_count 1
 // everywhere, no OOM / checksum / exclusion / recovery activity, and an
-// engine running without fault or memory schedules — re-registers each
+// engine in neither retained-data mode (no enforced memory, no fault plan
+// entry but task retries) — re-registers each
 // restored stage's shuffle outputs, cached blocks and result partitions,
 // re-emits its event history, replays its metrics rows, fast-forwards the
 // virtual clock, and continues execution at the first uncommitted stage.

@@ -9,11 +9,11 @@
 // its tasks for real and prices them on the simulated cluster
 // (execution.cc); it is retried when it dies — of an OOM (memory.cc), of a
 // flaky fetch that ran out of retries, or of a node failure inside its
-// window (recovery.cc). Every schedule that can retry an attempt or heal a
-// block (node failures, enforced memory, OOM injection, flaky fetches,
-// corruption) runs the job in retained-data mode: map outputs live until
+// window (recovery.cc). Enforced memory and every fault plan entry that can
+// retry an attempt or heal a block (node failures, OOMs, flaky fetches,
+// corruption) run the job in retained-data mode: map outputs live until
 // job end, and before each attempt the runner heals the stage's inputs by
-// replaying lineage for exactly the lost pieces. Without one, the first
+// replaying lineage for exactly the lost pieces. Without them, the first
 // attempt commits and consumed shuffles are released stage by stage.
 //
 // A surviving attempt commits through one set of helpers — stage start,
@@ -114,7 +114,7 @@ void JobRunner::run_stage(std::size_t s) {
   for (std::size_t attempt = 1;; ++attempt) {
     sm.attempt_count = attempt;
     if (health_active()) sweep_health();
-    if (ft_) process_barrier_failures(sm.stage_id);
+    process_barrier_failures(sm.stage_id);
     // Cache telemetry (DESIGN.md §17): every cached-input partition resident
     // at attempt start is a hit — its bytes are recomputation the cache
     // saved. Partitions healed below count as misses (recover_cached_blocks).
@@ -185,7 +185,7 @@ void JobRunner::run_stage(std::size_t s) {
       consecutive_oom = 0;
       continue;
     }
-    if (ft_ && scan_window_failures(s, sm, a.makespan)) {
+    if (scan_window_failures(s, sm, a.makespan)) {
       // The attempt was cut down mid-window by a node this stage depends
       // on; scan_window_failures charged the wasted time at the failure
       // instant. Retry from the top (recovery will heal the inputs the
@@ -255,8 +255,7 @@ void JobRunner::retry_attempt(std::size_t s, StageMetrics& sm, double wasted,
     e.num_partitions = ctx_.rt[s].num_tasks;
     emit(std::move(e));
   }
-  const std::size_t max_attempts = std::max<std::size_t>(
-      1, eng_.options_.failure_schedule.max_stage_attempts);
+  const std::size_t max_attempts = eng_.options_.faults.max_attempts;
   if (sm.attempt_count < max_attempts) return;
   const std::string what = "stage " + ctx_.plan.stages[s].name +
                            " exceeded " + std::to_string(max_attempts) +

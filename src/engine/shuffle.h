@@ -91,7 +91,7 @@ struct ShuffleOutput {
   std::vector<char> on_disk;
   /// Per-map-row integrity checksums: row_sum[m] digests row m's arena and
   /// offsets (recorded at publish, recomputed after heals/re-bucketing).
-  /// Empty vector == checksums off (no CorruptionSchedule armed).
+  /// Empty vector == checksums off (no FaultPlan::corruptions planned).
   std::vector<std::uint64_t> row_sum;
   std::uint64_t total_bytes = 0;  ///< includes per-bucket headers
   bool passthrough = false;       ///< co-partitioned: no real shuffle happened

@@ -89,16 +89,11 @@ JobServer::JobServer(engine::Engine& engine, JobServerOptions options)
     : engine_(engine),
       options_(std::move(options)),
       ledger_(options_.mode, options_.pools) {
-  if (engine_.options().failure_schedule.enabled()) {
+  if (engine_.options().faults.engine_global()) {
     throw std::invalid_argument(
-        "JobServer: engines with a node-failure schedule cannot serve "
-        "concurrent jobs (node-death state is engine-global)");
-  }
-  if (engine_.options().flaky_schedule.enabled() ||
-      engine_.options().corruption_schedule.enabled()) {
-    throw std::invalid_argument(
-        "JobServer: engines with a flaky-fetch or corruption schedule cannot "
-        "serve concurrent jobs (injection state is engine-global)");
+        "JobServer: engines whose fault plan holds node failures, flaky "
+        "fetches or corruptions cannot serve concurrent jobs (that state is "
+        "engine-global)");
   }
   if (options_.max_concurrent_jobs == 0) {
     throw std::invalid_argument("JobServer: max_concurrent_jobs must be > 0");

@@ -111,9 +111,10 @@ class JobHandle {
 
 class JobServer {
  public:
-  /// The engine must not use a failure schedule (node-death state is
-  /// engine-global, incompatible with concurrent jobs) — throws
-  /// std::invalid_argument if it does.
+  /// The engine's fault plan must hold no node failures, flaky fetches or
+  /// corruptions (that state is engine-global, incompatible with concurrent
+  /// jobs) — throws std::invalid_argument if it does. OOM injections and
+  /// task retries are served.
   JobServer(engine::Engine& engine, JobServerOptions options = {});
 
   /// Cancels everything still queued, waits for running jobs to finish.

@@ -1,6 +1,6 @@
 // Crash-resume edge cases (src/ckpt + engine adoption path, DESIGN.md §16):
 // crash during stage 0, crash after the final stage (pure replay), crash
-// mid-OOM-retry (retained schedules force a full deterministic rerun), and
+// mid-OOM-retry (retained fault plans force a full deterministic rerun), and
 // double-resume idempotence (a second crash during a resumed run resumes
 // from the new, self-contained WAL epoch). Every resumed run must reproduce
 // the uninterrupted reference bit-for-bit: same collected rows, same counts,
@@ -263,7 +263,7 @@ TEST(CkptResume, CrashMidOomRetryForcesFullRerun) {
   oom.stage_id = 0;
   oom.attempts = 1;
   oom.task = 0;
-  opts.oom_schedule.ooms.push_back(oom);
+  opts.faults.ooms.push_back(oom);
   // Keep the retry at the same partition count so the faulty timeline is
   // itself deterministic (same guard as bench/chaos).
   opts.memory.oom_repartition_after = 100;
@@ -280,7 +280,7 @@ TEST(CkptResume, CrashMidOomRetryForcesFullRerun) {
   ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
   const DriveOut resumed = drive(dir, opts, {}, &plan.ledger);
   EXPECT_FALSE(resumed.crashed);
-  // An armed OOM schedule retains engine-global state the adoption path
+  // A planned OOM injection retains engine-global state the adoption path
   // cannot reproduce: the engine must refuse the prefix and re-execute
   // deterministically.
   EXPECT_EQ(resumed.resumed_stages, 0u);

@@ -557,7 +557,7 @@ TEST(CombinerFaultRecovery, LostMapRowsReplayIdenticallyInBothModes) {
     const auto want = vanilla.collect(sum_by_mod(4000, 37));
 
     EngineOptions opts = small_options(combine);
-    opts.failure_schedule.failures.push_back(
+    opts.faults.node_failures.push_back(
         NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                     /*rejoin_after_s=*/-1.0});
     Engine eng(ClusterSpec::uniform(2, 2), opts);

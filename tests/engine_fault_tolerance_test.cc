@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,7 +77,7 @@ TEST(FaultTolerance, BarrierNodeFailureRecoversIdenticalResults) {
   // Node 1 dies at the barrier right before the reduce stage (global stage
   // id 1): its map outputs are gone and must be replayed from lineage.
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -104,7 +107,7 @@ TEST(FaultTolerance, MidWindowFailureRetriesTheStage) {
   ASSERT_GT(stages[1].sim_time_s, 0.0);
 
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/0, t_fail, /*at_stage_id=*/-1,
                   /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -121,7 +124,7 @@ TEST(FaultTolerance, MidWindowFailureRetriesTheStage) {
 
 TEST(FaultTolerance, RecoveryIsDeterministic) {
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   Engine a(ClusterSpec::uniform(2, 2), opts);
@@ -162,7 +165,7 @@ TEST(FaultTolerance, CachedBlocksRecomputedFromNarrowLineage) {
   // (global stage id 1), taking its cached blocks with it.
   generations = 0;
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -193,7 +196,7 @@ TEST(FaultTolerance, WideLineageCacheRebuildsViaRecoveryJob) {
   const std::size_t vanilla_stage_count = vanilla.metrics().stages().size();
 
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0,
                   /*at_stage_id=*/static_cast<std::ptrdiff_t>(
                       vanilla_stage_count - 1),
@@ -216,7 +219,7 @@ TEST(FaultTolerance, WideLineageCacheRebuildsViaRecoveryJob) {
 
 TEST(FaultTolerance, NodeRejoinsEmptyAfterRecovery) {
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/0.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
@@ -235,9 +238,9 @@ TEST(FaultTolerance, NodeRejoinsEmptyAfterRecovery) {
 
 TEST(FaultTolerance, LosingEveryNodeAbortsWithCleanup) {
   EngineOptions opts = small_options();
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/0, /*at_sim_time=*/-1.0, /*at_stage_id=*/1, -1.0});
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1, -1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.count(sum_by_mod(2000, 23)), JobAbortedError);
@@ -258,8 +261,8 @@ TEST(FaultTolerance, StageAttemptBoundAborts) {
   const double t_fail = stages[1].sim_start_s + 0.5 * stages[1].sim_time_s;
 
   EngineOptions opts = small_options();
-  opts.failure_schedule.max_stage_attempts = 1;  // no retry budget at all
-  opts.failure_schedule.failures.push_back(
+  opts.faults.max_attempts = 1;  // no retry budget at all
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/0, t_fail, /*at_stage_id=*/-1, -1.0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.collect(sum_by_mod(4000, 37)), JobAbortedError);
@@ -267,6 +270,39 @@ TEST(FaultTolerance, StageAttemptBoundAborts) {
   ASSERT_FALSE(eng.metrics().jobs().empty());
   EXPECT_TRUE(eng.metrics().jobs().back().failed);
   (void)want;
+}
+
+TEST(FaultTolerance, EngineRejectsAnInvalidFaultPlan) {
+  const auto engine_with = [](const std::function<void(FaultPlan&)>& edit) {
+    EngineOptions opts = small_options();
+    edit(opts.faults);
+    Engine eng(ClusterSpec::uniform(2, 2), opts);
+  };
+  const std::vector<std::function<void(FaultPlan&)>> invalid = {
+      // A failure on node 9 of a 2-node cluster.
+      [](FaultPlan& f) {
+        f.node_failures.push_back(NodeFailure{/*node=*/9, /*at_sim_time=*/-1.0,
+                                              /*at_stage_id=*/1, -1.0});
+      },
+      [](FaultPlan& f) { f.flaky_nodes = {0, 2}; },
+      [](FaultPlan& f) { f.fetch_failure_prob = 1.5; },
+      [](FaultPlan& f) { f.task_failure_prob = -0.1; },
+      [](FaultPlan& f) {
+        f.task_failure_prob = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](FaultPlan& f) { f.max_attempts = 0; },
+  };
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    EXPECT_THROW(engine_with(invalid[i]), std::invalid_argument) << "case " << i;
+  }
+  // The bounds themselves are valid.
+  EXPECT_NO_THROW(engine_with([](FaultPlan& f) {
+    f.node_failures.push_back(
+        NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1, -1.0});
+    f.flaky_nodes = {0, 1};
+    f.fetch_failure_prob = 1.0;
+    f.max_attempts = 1;
+  }));
 }
 
 TEST(FaultTolerance, InjectedFaultAbortReportsStructuredFailure) {

@@ -316,7 +316,7 @@ TEST(MemoryBudget, NaturalOomGrowsReducePartitionsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// OOM injection: deterministic schedules, retry, exhaustion.
+// OOM injection: deterministic plans, retry, exhaustion.
 // ---------------------------------------------------------------------------
 
 TEST(OomInjection, RetriesThenCompletesIdentically) {
@@ -324,7 +324,7 @@ TEST(OomInjection, RetriesThenCompletesIdentically) {
   const auto want = sorted_kv(vanilla.collect(sum_by_mod(4000, 37)).records);
 
   EngineOptions opts = small_options();
-  opts.oom_schedule.ooms.push_back(
+  opts.faults.ooms.push_back(
       OomInjection{/*stage_id=*/1, /*attempts=*/2, /*task=*/0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   const auto res = eng.collect(sum_by_mod(4000, 37));
@@ -340,9 +340,9 @@ TEST(OomInjection, RetriesThenCompletesIdentically) {
 
 TEST(OomInjection, ExhaustsAttemptBudgetWithTaskOomError) {
   EngineOptions opts = small_options();
-  // Injection outlives max_stage_attempts (default 4): every attempt dies,
+  // Injection outlives max_attempts (default 4): every attempt dies,
   // growth does not help, the job must abort with the OOM-specific error.
-  opts.oom_schedule.ooms.push_back(
+  opts.faults.ooms.push_back(
       OomInjection{/*stage_id=*/1, /*attempts=*/100, /*task=*/0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.collect(sum_by_mod(4000, 37)), TaskOomError);
@@ -356,7 +356,7 @@ TEST(OomInjection, ExhaustsAttemptBudgetWithTaskOomError) {
 TEST(OomInjection, IsAJobAbortedError) {
   // TaskOomError must flow through every existing abort handler.
   EngineOptions opts = small_options();
-  opts.oom_schedule.ooms.push_back(OomInjection{1, 100, 0});
+  opts.faults.ooms.push_back(OomInjection{1, 100, 0});
   Engine eng(ClusterSpec::uniform(2, 2), opts);
   EXPECT_THROW(eng.collect(sum_by_mod(1000, 7)), JobAbortedError);
 }
@@ -374,9 +374,9 @@ TEST(MemoryFaultInteraction, NodeDiesDuringOomRetry) {
   // mid-window during the retry, losing map outputs that must be replayed
   // before the stage can complete.
   EngineOptions opts = small_options();
-  opts.oom_schedule.ooms.push_back(
+  opts.faults.ooms.push_back(
       OomInjection{/*stage_id=*/1, /*attempts=*/1, /*task=*/1});
-  opts.failure_schedule.failures.push_back(
+  opts.faults.node_failures.push_back(
       NodeFailure{/*node=*/2, /*at_sim_time=*/base.sim_time_s * 0.5,
                   /*at_stage_id=*/-1, /*rejoin_after_s=*/-1.0});
   Engine eng(ClusterSpec::uniform(3, 2), opts);
@@ -407,7 +407,7 @@ TEST(MemoryFaultInteraction, EvictionOfCacheWhoseHomeNodeFailed) {
   const std::uint64_t per_node = probe.block_manager().total_bytes();
 
   EngineOptions tight = opts;
-  tight.failure_schedule.failures.push_back(
+  tight.faults.node_failures.push_back(
       NodeFailure{/*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
                   /*rejoin_after_s=*/-1.0});
   // Each node could hold one dataset fully; after node 1 dies everything

@@ -213,7 +213,7 @@ TEST(ParallelDeterminism, OomRetryIdenticalAcrossThreadCounts) {
   // depend on the thread count.
   const auto with_oom = [](std::size_t host_threads) {
     engine::EngineOptions o = small_options(host_threads);
-    o.oom_schedule.ooms.push_back(
+    o.faults.ooms.push_back(
         engine::OomInjection{/*stage_id=*/1, /*attempts=*/2, /*task=*/0});
     return o;
   };

@@ -95,6 +95,20 @@ TEST(Plan, SharedParentIsPlannedOnce) {
   EXPECT_EQ(base_stages, 1u);
 }
 
+TEST(Plan, SelfJoinAndSelfUnionConsumeTheirProducerOnce) {
+  BlockManager bm;
+  auto a = Dataset::source("a", 4, dummy_source());
+  for (const DatasetPtr& ds :
+       {a->join_with(a, "self-join"), a->union_with(a, "self-union")}) {
+    const auto plan = build_job_plan(ds, bm);
+    ASSERT_EQ(plan.stages.size(), 2u);
+    // Both sides read the one producer, which writes one shuffle for them.
+    EXPECT_EQ(plan.stages[1].parent_stages,
+              (std::vector<std::size_t>{0, 0}));
+    EXPECT_EQ(plan.stages[0].consumers, (std::vector<std::size_t>{1}));
+  }
+}
+
 TEST(Plan, MaterializedCacheTruncatesLineage) {
   BlockManager bm;
   auto cached = Dataset::source("s", 2, dummy_source())

@@ -163,8 +163,8 @@ TEST(Resilience, FlakyFetchesRetryInPlaceBitIdentically) {
   // escalation bound (deterministic in the seed; verified by the attempt
   // count below).
   EngineOptions opts = small_options();
-  opts.flaky_schedule.fetch_failure_prob = 0.2;
-  opts.flaky_schedule.seed = 7;
+  opts.faults.fetch_failure_prob = 0.2;
+  opts.faults.seed = 7;
   Engine eng(ClusterSpec::uniform(4, 2), opts);
   obs::EventLog log;
   auto ring = std::make_shared<obs::RingSink>(1 << 14);
@@ -199,9 +199,9 @@ TEST(Resilience, FlakyEscalationHealsViaStageRetryAndExcludesNode) {
   // node 1 and invalidates its map outputs, until the scoreboard excludes
   // it and the heal re-places its rows on healthy nodes.
   EngineOptions opts = small_options();
-  opts.flaky_schedule.fetch_failure_prob = 1.0;
-  opts.flaky_schedule.nodes = {1};
-  opts.failure_schedule.max_stage_attempts = 6;
+  opts.faults.fetch_failure_prob = 1.0;
+  opts.faults.flaky_nodes = {1};
+  opts.faults.max_attempts = 6;
   opts.health.exclude_after = 2;
   Engine eng(ClusterSpec::uniform(4, 2), opts);
   obs::EventLog log;
@@ -222,8 +222,8 @@ TEST(Resilience, FlakyEscalationHealsViaStageRetryAndExcludesNode) {
 
 TEST(Resilience, AllNodesFlakyAbortsAtAttemptBound) {
   EngineOptions opts = small_options();
-  opts.flaky_schedule.fetch_failure_prob = 1.0;  // every node, every fetch
-  opts.failure_schedule.max_stage_attempts = 3;
+  opts.faults.fetch_failure_prob = 1.0;  // every node, every fetch
+  opts.faults.max_attempts = 3;
   opts.health.exclude_enabled = false;  // nowhere healthy to re-home to
   Engine eng(ClusterSpec::uniform(4, 2), opts);
   EXPECT_THROW(eng.collect(sum_by_mod(4000, 37)), JobAbortedError);
@@ -231,7 +231,7 @@ TEST(Resilience, AllNodesFlakyAbortsAtAttemptBound) {
   Engine vanilla(ClusterSpec::uniform(4, 2), small_options());
   const auto want = vanilla.collect(sum_by_mod(500, 7));
   EngineOptions off = opts;
-  off.flaky_schedule.fetch_failure_prob = 0.0;
+  off.faults.fetch_failure_prob = 0.0;
   Engine healthy(ClusterSpec::uniform(4, 2), off);
   EXPECT_EQ(sorted_kv(healthy.collect(sum_by_mod(500, 7)).records),
             sorted_kv(want.records));
@@ -250,7 +250,7 @@ TEST(Resilience, ShuffleRowCorruptionIsDetectedAndHealed) {
   inj.stage_id = 0;  // the map stage's published output
   inj.task = 2;
   inj.byte_offset = 5;
-  opts.corruption_schedule.corruptions.push_back(inj);
+  opts.faults.corruptions.push_back(inj);
   Engine eng(ClusterSpec::uniform(4, 2), opts);
   obs::EventLog log;
   auto ring = std::make_shared<obs::RingSink>(1 << 14);
@@ -292,7 +292,7 @@ TEST(Resilience, CachedBlockCorruptionIsDetectedAndHealed) {
   inj.dataset_id = cached->id();
   inj.task = 1;
   inj.byte_offset = 9;
-  opts.corruption_schedule.corruptions.push_back(inj);
+  opts.faults.corruptions.push_back(inj);
   Engine eng(ClusterSpec::uniform(4, 2), opts);
   eng.count(cached, "materialize");  // commit poisons one cached block
   const auto got = eng.collect(
@@ -314,19 +314,19 @@ TEST(Resilience, ComposedFaultSchedulesStayBitIdenticalWithReplayParity) {
 
   EngineOptions opts = small_options();
   // Flaky fetches from node 1 throughout...
-  opts.flaky_schedule.fetch_failure_prob = 0.25;
-  opts.flaky_schedule.nodes = {1};
-  opts.flaky_schedule.seed = 11;
-  opts.failure_schedule.max_stage_attempts = 8;
+  opts.faults.fetch_failure_prob = 0.25;
+  opts.faults.flaky_nodes = {1};
+  opts.faults.seed = 11;
+  opts.faults.max_attempts = 8;
   // ...node 2 dies inside the reduce window — for some of that window the
-  // schedule has tasks sitting in fetch-backoff, so the death lands inside
+  // plan has tasks sitting in fetch-backoff, so the death lands inside
   // a retry loop (the composed case DESIGN.md §14 calls out)...
-  opts.failure_schedule.failures.push_back(NodeFailure{
+  opts.faults.node_failures.push_back(NodeFailure{
       /*node=*/2, /*at_sim_time=*/clean_s * 0.6, /*at_stage_id=*/-1,
       /*rejoin_after_s=*/-1.0});
   // ...the reduce stage's first attempt is killed by an injected OOM...
-  opts.oom_schedule.ooms.push_back(OomInjection{/*stage_id=*/1,
-                                                /*attempts=*/1, /*task=*/3});
+  opts.faults.ooms.push_back(
+      OomInjection{/*stage_id=*/1, /*attempts=*/1, /*task=*/3});
   opts.memory.oom_repartition_after = 100;  // keep P fixed for bit-identity
   // ...and one map row was silently corrupted at publish time.
   CorruptionInjection inj;
@@ -334,7 +334,7 @@ TEST(Resilience, ComposedFaultSchedulesStayBitIdenticalWithReplayParity) {
   inj.stage_id = 0;
   inj.task = 1;
   inj.byte_offset = 3;
-  opts.corruption_schedule.corruptions.push_back(inj);
+  opts.faults.corruptions.push_back(inj);
 
   const std::string path =
       ::testing::TempDir() + "/resilience_composed.jsonl";
@@ -364,14 +364,14 @@ TEST(Resilience, ComposedFaultSchedulesStayBitIdenticalWithReplayParity) {
 TEST(Resilience, JobServerRejectsFlakyAndCorruptionEngines) {
   {
     EngineOptions opts = small_options();
-    opts.flaky_schedule.fetch_failure_prob = 0.1;
+    opts.faults.fetch_failure_prob = 0.1;
     Engine eng(ClusterSpec::uniform(2, 2), opts);
     EXPECT_THROW(service::JobServer(eng, service::JobServerOptions{}),
                  std::invalid_argument);
   }
   {
     EngineOptions opts = small_options();
-    opts.corruption_schedule.corruptions.push_back(CorruptionInjection{});
+    opts.faults.corruptions.push_back(CorruptionInjection{});
     Engine eng(ClusterSpec::uniform(2, 2), opts);
     EXPECT_THROW(service::JobServer(eng, service::JobServerOptions{}),
                  std::invalid_argument);

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "engine/engine.h"
+#include "obs/event_log.h"
+#include "obs/sinks.h"
 
 namespace chopper::engine {
 namespace {
@@ -191,6 +195,45 @@ TEST(ShuffleBehaviour, CustomJoinFnIsUsed) {
       eng.collect(left->join_with(right, "j", {}, count_matches));
   ASSERT_EQ(result.records.size(), 10u);
   for (const auto& r : result.records) EXPECT_DOUBLE_EQ(r.values[0], 1.0);
+}
+
+TEST(ShuffleBehaviour, SelfJoinAndSelfUnionWriteOneShuffle) {
+  // A self-join or self-union reads its producer on both sides. The
+  // reference reads an identical, distinct dataset on its right side.
+  struct Out {
+    std::size_t shuffle_writes = 0;
+    std::uint64_t left_write_bytes = 0;  ///< the "source:a" stage's row
+    std::vector<Record> rows;
+  };
+  const auto run = [](bool self, bool join) {
+    Engine eng(ClusterSpec::uniform(2, 2), small_options());
+    obs::EventLog log;
+    auto ring = std::make_shared<obs::RingSink>(1 << 12);
+    log.attach(ring);
+    eng.set_event_log(&log);
+    auto a = Dataset::source("a", 4, keyed_source(400, 40));
+    auto b = self ? a : Dataset::source("b", 4, keyed_source(400, 40));
+    Out out;
+    out.rows = eng.collect(join ? a->join_with(b, "j") : a->union_with(b, "u"))
+                   .records;
+    log.detach_all();
+    for (const auto& e : ring->snapshot()) {
+      out.shuffle_writes += e.kind == obs::EventKind::kShuffleWrite;
+    }
+    for (const auto& st : eng.metrics().stages()) {
+      if (st.name == "source:a") out.left_write_bytes = st.shuffle_write_bytes;
+    }
+    return out;
+  };
+  for (const bool join : {true, false}) {
+    const Out self = run(true, join);
+    const Out ref = run(false, join);
+    EXPECT_EQ(self.shuffle_writes, 1u) << (join ? "join" : "union");
+    EXPECT_EQ(ref.shuffle_writes, 2u);
+    EXPECT_GT(self.left_write_bytes, 0u);
+    EXPECT_EQ(self.left_write_bytes, ref.left_write_bytes);
+    EXPECT_TRUE(self.rows == ref.rows);
+  }
 }
 
 TEST(ShuffleBehaviour, ConsumedShuffleIsReleased) {

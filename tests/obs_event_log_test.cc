@@ -358,10 +358,10 @@ TEST(ObsReplay, FaultAndOomRunReplaysBitExact) {
   // Node 1 dies at the reduce barrier (stage id 1) and its map outputs must
   // be replayed; the reduce stage additionally OOMs twice on task 0, forcing
   // a repartitioned retry.
-  opts.failure_schedule.failures.push_back(engine::NodeFailure{
+  opts.faults.node_failures.push_back(engine::NodeFailure{
       /*node=*/1, /*at_sim_time=*/-1.0, /*at_stage_id=*/1,
       /*rejoin_after_s=*/-1.0});
-  opts.oom_schedule.ooms.push_back(
+  opts.faults.ooms.push_back(
       engine::OomInjection{/*stage_id=*/1, /*attempts=*/2, /*task=*/0});
 
   engine::Engine eng(engine::ClusterSpec::uniform(2, 2), opts);
@@ -398,7 +398,7 @@ TEST(ObsReplay, AbortedJobReplaysWithFailureRecorded) {
   const std::string path = temp_path("obs_replay_fail.jsonl");
   engine::EngineOptions opts = small_options();
   // An OOM that survives every retry aborts the job.
-  opts.oom_schedule.ooms.push_back(
+  opts.faults.ooms.push_back(
       engine::OomInjection{/*stage_id=*/1, /*attempts=*/100, /*task=*/0});
 
   engine::Engine eng(engine::ClusterSpec::uniform(2, 2), opts);

@@ -421,9 +421,35 @@ TEST(JobServerQueue, BackpressureThrowsWhenFull) {
 
 TEST(JobServerQueue, RejectsFailureScheduleEngines) {
   EngineOptions o = small_options();
-  o.failure_schedule.failures.push_back({/*node=*/0, /*at_sim_time=*/1.0});
+  o.faults.node_failures.push_back({/*node=*/0, /*at_sim_time=*/1.0});
   Engine eng(ClusterSpec::uniform(2, 4), o);
   EXPECT_THROW(JobServer(eng, {}), std::invalid_argument);
+}
+
+TEST(JobServerQueue, ServesOomInjectionAndTaskRetryEngines) {
+  // OOM injections and task retries hold no engine-global state, so a server
+  // takes a plan with both, and its jobs return the clean engine's rows.
+  const auto serve = [](const EngineOptions& o) {
+    Engine eng(ClusterSpec::uniform(2, 4), o);
+    JobServer server(eng, {});
+    SubmitOptions so;
+    so.name = "non-global";
+    so.collect = true;
+    return server.submit(agg_job("non-global"), so).wait();
+  };
+  EngineOptions faulty = small_options();
+  faulty.faults.ooms.push_back(
+      engine::OomInjection{/*stage_id=*/1, /*attempts=*/1, /*task=*/0});
+  faulty.faults.task_failure_prob = 0.2;
+  faulty.faults.max_attempts = 8;
+  const auto clean = serve(small_options());
+  const auto got = serve(faulty);
+
+  EXPECT_EQ(got.count, clean.count);
+  EXPECT_TRUE(got.records == clean.records);
+  EXPECT_EQ(got.oom_count, 1u);
+  EXPECT_EQ(got.stage_attempts, clean.stage_attempts + 1);
+  EXPECT_GT(got.sim_time_s, clean.sim_time_s);
 }
 
 // -- determinism -------------------------------------------------------------

@@ -33,11 +33,11 @@
 //       epoch-keyed plan cache, exercised concurrently).
 //
 //   chopperctl chaos [--seed N] [--runs K] [--tiny] [--json FILE]
-//       Differential chaos trials (DESIGN.md §14): each seed composes
-//       node-failure, OOM, flaky-fetch and corruption schedules, runs a job
-//       with and without them and asserts bit-identical results, replayable
-//       event histories and bounded makespan inflation. Exit 1 on any
-//       divergence.
+//       Differential chaos trials (DESIGN.md §14): each seed composes a
+//       fault plan of node failures, OOMs, flaky fetches and corruptions,
+//       runs a job with and without it and asserts bit-identical results,
+//       replayable event histories and bounded makespan inflation. Exit 1
+//       on any divergence.
 //
 //   chopperctl resume DIR
 //       Crash recovery (DESIGN.md §16): decode the newest WAL segment of a
@@ -172,7 +172,7 @@ void print_usage(std::FILE* out, const std::string& cmd = "") {
     std::fprintf(out,
                  "  chopperctl chaos [--seed N] [--runs K] [--tiny] "
                  "[--json FILE]\n"
-                 "      differential chaos trials: composed fault schedules "
+                 "      differential chaos trials: composed fault plans "
                  "must leave\n"
                  "      results bit-identical and histories replayable\n");
   }
