@@ -374,7 +374,9 @@ TEST(DataPlane, MergeReduceMatchesHashReference) {
   ASSERT_EQ(got.size(), ref.size());
   std::uint64_t prev_key = 0;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    if (i > 0) EXPECT_GT(got.key(i), prev_key);  // ascending unique keys
+    if (i > 0) {
+      EXPECT_GT(got.key(i), prev_key);  // ascending unique keys
+    }
     prev_key = got.key(i);
     const auto& want = ref.at(got.key(i));
     const auto gv = got.values(i);

@@ -1,71 +1,65 @@
-// chopperctl — command-line driver for the CHOPPER reproduction.
+// chopperctl — command-line driver for the CHOPPER reproduction. What each
+// subcommand does is described here; its flags are listed in its usage block
+// (print_usage below; `chopperctl` with no arguments prints them all).
 //
-//   chopperctl profile --workload kmeans|pca|sql [--scale S] [--db FILE]
-//       Run the profiling sweep and store observations in the DB file.
+//   profile  Run the profiling sweep and store observations in the DB file.
 //
-//   chopperctl plan --workload W --db FILE [--scale S] [--naive] [--out FILE]
-//       Compute the (Algorithm 3, or Algorithm 2 with --naive) plan from a
-//       previously saved DB and print/save the Fig. 6 configuration.
+//   plan     Compute the (Algorithm 3, or Algorithm 2 with --naive) plan from
+//            a previously saved DB and print/save the Fig. 6 configuration.
 //
-//   chopperctl run --workload W [--conf FILE] [--scale S] [--speculation]
-//                  [--aqe] [--mem-scale M] [--adapt] [--db FILE]
-//       Execute the workload — vanilla by default, with a CHOPPER config if
-//       --conf is given — and print the per-stage metrics. --mem-scale M
-//       shrinks every worker's executor memory by M and turns on budget
-//       enforcement (DESIGN.md §11): caches evict, shuffles spill, and
-//       oversized task working sets OOM + retry at a grown partition count.
-//       --adapt attaches the in-flight adaptive controller (DESIGN.md §15):
-//       live stage statistics stream into the workload DB (seeded from
-//       --db when given), models refit incrementally, and pending stages may
-//       be re-planned at stage barriers. --adapt-epsilon / --adapt-min-obs /
-//       --adapt-max-replans tune the hysteresis gate.
+//   run      Execute the workload — vanilla by default, with a CHOPPER config
+//            if --conf is given — and print the per-stage metrics. --mem-scale
+//            shrinks every worker's executor memory and turns on budget
+//            enforcement (DESIGN.md §11): caches evict, shuffles spill, and
+//            oversized task working sets OOM + retry at a grown partition
+//            count. --adapt attaches the in-flight adaptive controller
+//            (DESIGN.md §15): live stage statistics stream into the workload
+//            DB (seeded from --db when given), models refit incrementally,
+//            and pending stages may be re-planned at stage barriers.
+//            --cache-policy cost prices evictions by recomputation cost x
+//            reuse (DESIGN.md §17). --checkpoint makes the run resumable.
 //
-//   chopperctl inspect --db FILE
-//       Summarize a workload DB: observations and stage DAGs.
+//   inspect  Summarize a workload DB: observations and stage DAGs.
 //
-//   chopperctl serve --jobs N --mode fair|fifo [--max-concurrent K] [--tiny]
-//                    [--adapt]
-//       Multi-tenant demo: submit N mixed jobs (small "interactive"-pool
-//       aggregations + heavy "batch"-pool kmeans/sql jobs) concurrently to a
-//       JobServer over one shared engine and print per-job latency, the pool
-//       shares and the grant schedule summary. --adapt attaches an adaptive
-//       controller with every job opted in (per-job opt-in gating plus the
-//       epoch-keyed plan cache, exercised concurrently).
+//   serve    Multi-tenant demo: submit N mixed jobs (small "interactive"-pool
+//            aggregations + heavy "batch"-pool kmeans/sql jobs) concurrently
+//            to a JobServer over one shared engine and print per-job latency,
+//            the pool shares and the grant schedule summary. --adapt attaches
+//            an adaptive controller with every job opted in (per-job opt-in
+//            gating plus the epoch-keyed plan cache, exercised concurrently).
 //
-//   chopperctl chaos [--seed N] [--runs K] [--tiny] [--json FILE]
-//       Differential chaos trials (DESIGN.md §14): each seed composes a
-//       fault plan of node failures, OOMs, flaky fetches and corruptions,
-//       runs a job with and without it and asserts bit-identical results,
-//       replayable event histories and bounded makespan inflation. Exit 1
-//       on any divergence.
+//   chaos    Differential chaos trials (DESIGN.md §14): each seed composes a
+//            fault plan of node failures, OOMs, flaky fetches and
+//            corruptions, runs a job with and without it and asserts
+//            bit-identical results, replayable event histories and bounded
+//            makespan inflation. Exit 1 on any divergence.
 //
-//   chopperctl resume DIR
-//       Crash recovery (DESIGN.md §16): decode the newest WAL segment of a
-//       checkpoint directory written by `run --checkpoint DIR` or
-//       `serve --checkpoint DIR`, rebuild the identical run from the
-//       recorded runspec, and continue from the first uncommitted stage.
-//       Committed stages are adopted from the WAL + block files (classic
-//       runs) or finished jobs are re-admitted without re-execution (serve);
-//       everything else re-executes deterministically, so the final results
-//       are bit-identical to an uninterrupted run. A fresh WAL epoch is
-//       opened, so resume itself is crash-consistent (double-resume works).
+//   resume   Crash recovery (DESIGN.md §16): decode the newest WAL segment of
+//            a checkpoint directory written by `run --checkpoint DIR` or
+//            `serve --checkpoint DIR`, read the RunSpec it recorded and call
+//            the same run or serve code path as the original invocation,
+//            continuing from the first uncommitted stage. Committed stages
+//            are adopted from the WAL + block files (classic runs) or
+//            finished jobs are re-admitted without re-execution (serve);
+//            everything else re-executes deterministically, so the final
+//            results are bit-identical to an uninterrupted run. A fresh WAL
+//            epoch is opened, so resume itself is crash-consistent
+//            (double-resume works).
 //
-//   chopperctl history LOG
-//       Summarize a structured event log (written with --event-log):
-//       per-job and per-stage tables, straggler/critical-path analysis and
-//       per-node utilization — all rebuilt offline via HistoryReader.
+//   history  Summarize a structured event log (written with --event-log):
+//            per-job and per-stage tables, straggler/critical-path analysis
+//            and per-node utilization — all rebuilt offline via
+//            HistoryReader.
 //
-//   chopperctl trace LOG --chrome OUT.json
-//       Export an event log to Chrome trace_event JSON (load in Perfetto or
-//       chrome://tracing): nodes become processes, core slots become
-//       threads, shuffles become flow arrows.
+//   trace    Export an event log to Chrome trace_event JSON (load in Perfetto
+//            or chrome://tracing): nodes become processes, core slots become
+//            threads, shuffles become flow arrows.
 //
-// run and serve accept --event-log FILE to record the structured event
-// stream consumed by history/trace. The cluster and workload presets match
-// the bench harness (the paper's heterogeneous 5-worker cluster,
-// Table-I-proportional inputs). CHOPPER_LOG_LEVEL overrides the default
-// stderr log level.
+// The cluster and workload presets match the bench harness (the paper's
+// heterogeneous 5-worker cluster, Table-I-proportional inputs).
+// CHOPPER_LOG_LEVEL overrides the default stderr log level.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -219,6 +213,18 @@ T parse_flag(const std::string& key, const std::string& raw) {
   }
 }
 
+/// --scale and --mem-scale: a finite number > 0. A zero or negative --scale
+/// would silently run a 1-record input, and a non-finite value of either
+/// would be cast to an integer size.
+double parse_scale(const std::string& key, const std::string& raw) {
+  const double v = parse_flag<double>(key, raw);
+  if (!std::isfinite(v) || v <= 0.0) {
+    throw UsageError("invalid --" + key + " '" + raw +
+                     "' (must be finite and > 0)");
+  }
+  return v;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -292,39 +298,163 @@ void validate_flags(const Args& args) {
   }
 }
 
-engine::EvictionPolicy parse_cache_policy(const Args& args) {
-  const std::string p = args.get("cache-policy", "lru");
+engine::EvictionPolicy parse_cache_policy(const std::string& p) {
   if (p == "lru") return engine::EvictionPolicy::kLru;
   if (p == "cost") return engine::EvictionPolicy::kCost;
   throw UsageError("invalid --cache-policy '" + p + "' (lru|cost)");
 }
 
-std::unique_ptr<workloads::Workload> make_workload(const std::string& name,
-                                                   bool tiny) {
+service::SchedulingMode parse_mode(const std::string& m) {
+  if (m == "fifo") return service::SchedulingMode::kFifo;
+  if (m == "fair") return service::SchedulingMode::kFair;
+  throw UsageError("invalid --mode '" + m + "' (fifo|fair)");
+}
+
+/// Every setting that defines a `run` or `serve`. Flags are parsed into it
+/// once (parse_spec); --checkpoint records it whole as runspec.kv (to_kv),
+/// and `resume` parses it back (spec_from_kv) and calls the same run() or
+/// serve(). Settings that only observe or checkpoint an invocation
+/// (--event-log, --checkpoint, --sync, --crash-*) and the --adapt/--db group,
+/// which --checkpoint refuses, stay in Args.
+struct RunSpec {
+  std::string command;  ///< "run" or "serve" (profile and plan read a subset)
+  std::string workload;
+  double scale = 1.0;
+  bool tiny = false;
+  common::KvConfig plan;  ///< the --conf plan's entries; empty runs vanilla
+  bool speculation = false;
+  bool aqe = false;
+  std::optional<double> mem_scale;  ///< set: budgets enforced at this scale
+  engine::EvictionPolicy cache_policy = engine::EvictionPolicy::kLru;
+  // serve's job mix and JobServer.
+  std::size_t jobs = 8;
+  service::SchedulingMode mode = service::SchedulingMode::kFifo;
+  std::size_t max_concurrent = 4;
+};
+
+RunSpec parse_spec(const Args& args) {
+  RunSpec s;
+  s.command = args.command;
+  s.workload = args.get("workload");
+  if (args.has("scale")) s.scale = parse_scale("scale", args.get("scale"));
+  s.tiny = args.has("tiny");
+  // Tolerant: a corrupt or missing conf degrades to fewer (or no) stage
+  // schemes with a warning instead of killing the CLI.
+  if (args.has("conf")) {
+    s.plan = common::KvConfig::load(args.get("conf"), /*tolerant=*/true);
+  }
+  s.speculation = args.has("speculation");
+  s.aqe = args.has("aqe");
+  if (args.has("mem-scale")) {
+    s.mem_scale = parse_scale("mem-scale", args.get("mem-scale"));
+  }
+  if (args.has("cache-policy")) {
+    s.cache_policy = parse_cache_policy(args.get("cache-policy"));
+  }
+  s.jobs = args.get_size("jobs", s.jobs);
+  if (args.has("mode")) s.mode = parse_mode(args.get("mode"));
+  s.max_concurrent = args.get_size("max-concurrent", s.max_concurrent);
+  return s;
+}
+
+/// runspec.kv's entries: every field, switches as 0/1, with mem-enforce
+/// saying whether mem-scale was given. The plan travels inline under
+/// `plan.`, so resume reads no file outside the checkpoint directory.
+common::KvConfig to_kv(const RunSpec& s) {
+  const auto flag = [](bool on) { return std::string(on ? "1" : "0"); };
+  common::KvConfig kv;
+  kv.set("command", s.command);
+  kv.set("workload", s.workload);
+  kv.set_double("scale", s.scale);
+  kv.set("tiny", flag(s.tiny));
+  kv.set("speculation", flag(s.speculation));
+  kv.set("aqe", flag(s.aqe));
+  kv.set_double("mem-scale", s.mem_scale.value_or(1.0));
+  kv.set("mem-enforce", flag(s.mem_scale.has_value()));
+  kv.set("cache-policy", engine::to_string(s.cache_policy));
+  kv.set("jobs", std::to_string(s.jobs));
+  kv.set("mode", service::to_string(s.mode));
+  kv.set("max-concurrent", std::to_string(s.max_concurrent));
+  for (const auto& [key, value] : s.plan.entries()) kv.set("plan." + key, value);
+  return kv;
+}
+
+/// The inverse of to_kv: the recorded settings go back through parse_spec as
+/// the flags they came from. A key that an older checkpoint lacks keeps its
+/// default: a missing cache-policy is lru, the only policy such a checkpoint
+/// ran. An older checkpoint also names its plan as a `conf=` path instead of
+/// carrying it; that file is loaded strictly, so a plan that cannot be read
+/// refuses the resume instead of continuing under a different one.
+RunSpec spec_from_kv(const common::KvConfig& kv) {
+  Args args;
+  args.command = kv.get("command").value_or("");
+  if (args.command != "run" && args.command != "serve") {
+    throw std::runtime_error("runspec has unknown command '" + args.command +
+                             "'");
+  }
+  for (const auto& [key, value] : kv.entries()) args.flags[key] = value;
+  // A present flag sets a switch, but runspec.kv records switches as 0/1,
+  // and mem-scale applies only beside mem-enforce=1.
+  for (const char* key : {"tiny", "speculation", "aqe", "mem-enforce"}) {
+    if (args.get(key) != "1") args.flags.erase(key);
+  }
+  if (!args.has("mem-enforce")) args.flags.erase("mem-scale");
+  const std::string conf = args.get("conf");
+  args.flags.erase("conf");  // parse_spec would load it tolerantly
+  RunSpec s = parse_spec(args);
+  for (const auto& key : kv.keys_with_prefix("plan.")) {
+    s.plan.set(key.substr(5), *kv.get(key));
+  }
+  if (!conf.empty()) {
+    try {
+      s.plan = common::KvConfig::load(conf);
+    } catch (const std::exception& e) {
+      throw std::runtime_error(std::string(e.what()) +
+                               " (the plan this checkpoint ran; resume will "
+                               "not continue under a different one)");
+    }
+  }
+  return s;
+}
+
+engine::EngineOptions engine_options(const RunSpec& spec) {
+  engine::EngineOptions o = bench::vanilla_options();
+  o.speculation.enabled = spec.speculation;
+  if (spec.aqe) {
+    o.adaptive.enabled = true;
+    o.adaptive.target_partition_bytes = 24ULL << 20;
+    o.adaptive.min_partitions = 8;
+  }
+  o.memory.enforce = spec.mem_scale.has_value();
+  return o;
+}
+
+std::unique_ptr<workloads::Workload> make_workload(const RunSpec& spec) {
   // --tiny shrinks inputs ~20x for smoke tests and CI.
-  if (name == "kmeans") {
+  if (spec.workload == "kmeans") {
     auto p = bench::kmeans_params();
-    if (tiny) {
+    if (spec.tiny) {
       p.data.total_points /= 20;
       p.init_rounds = 3;
     }
     return std::make_unique<workloads::KMeansWorkload>(p);
   }
-  if (name == "pca") {
+  if (spec.workload == "pca") {
     auto p = bench::pca_params();
-    if (tiny) p.data.total_rows /= 20;
+    if (spec.tiny) p.data.total_rows /= 20;
     return std::make_unique<workloads::PcaWorkload>(p);
   }
-  if (name == "sql") {
+  if (spec.workload == "sql") {
     auto p = bench::sql_params();
-    if (tiny) {
+    if (spec.tiny) {
       p.fact.total_rows /= 20;
       p.fact.num_keys /= 20;
       p.dim.num_keys /= 20;
     }
     return std::make_unique<workloads::SqlWorkload>(p);
   }
-  return nullptr;
+  throw UsageError("unknown --workload '" + spec.workload +
+                   "' (kmeans|pca|sql)");
 }
 
 core::ChopperOptions chopper_options(bool tiny) {
@@ -338,8 +468,8 @@ core::ChopperOptions chopper_options(bool tiny) {
 }
 
 /// The serve demo's deterministic job mix: submission index -> dataset graph
-/// plus its display name and pool. Shared with `resume` so a restarted
-/// server rebuilds the exact same jobs (same seeds, same ids, same order).
+/// plus its display name and pool. A resumed server rebuilds the exact same
+/// jobs (same seeds, same ids, same order).
 engine::DatasetPtr make_serve_job(std::size_t i, bool tiny, std::string* name,
                                   std::string* pool) {
   // 1:2 mix of heavy batch jobs and small interactive queries (all small
@@ -359,51 +489,79 @@ engine::DatasetPtr make_serve_job(std::size_t i, bool tiny, std::string* name,
   return bench::service_small_job(i);
 }
 
-/// Attach a checkpoint WAL writer to a run/serve invocation and record the
-/// runspec `resume DIR` needs to rebuild the identical process. Refuses
-/// --adapt: in-flight re-planning would let the restarted run choose a
-/// different plan, voiding the bit-identical-resume contract.
-std::shared_ptr<ckpt::CheckpointWriter> attach_checkpoint(
-    const Args& args, obs::EventLog& event_log, engine::Engine& eng,
-    std::vector<std::pair<std::string, std::string>> runspec) {
-  if (args.has("adapt")) {
-    throw UsageError(
-        "--checkpoint cannot be combined with --adapt (in-flight re-planning "
-        "breaks bit-identical resume)");
-  }
-  const std::string dir = args.get("checkpoint");
-  ckpt::CheckpointOptions copts;
-  copts.sync = args.has("sync");
-  if (args.has("crash-at-seq")) {
-    copts.crash.at_event_seq =
-        static_cast<std::int64_t>(args.get_size("crash-at-seq", 0));
-  }
-  if (args.has("crash-at-barrier")) {
-    copts.crash.at_stage_barrier =
-        static_cast<std::int64_t>(args.get_size("crash-at-barrier", 0));
-  }
-  copts.crash.after_barrier_flush = args.has("crash-after-flush");
-  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, copts);
-  event_log.attach(writer);
-  eng.set_event_log(&event_log);
-  eng.set_checkpoint_hook(writer.get());
-  ckpt::write_kv_snapshot(dir + "/runspec.kv", runspec, copts.sync);
-  std::printf("checkpointing to %s (wal epoch %zu%s)\n", dir.c_str(),
-              writer->wal_epoch(), copts.sync ? ", fsync" : "");
-  return writer;
-}
+/// Where a run or serve records besides stdout: --event-log FILE, and the
+/// checkpoint WAL + block files of --checkpoint DIR (`resume` passes the
+/// directory it continues). Both attach before any JobServer is built,
+/// because its slot ledger wires into the engine's event log then.
+struct Recorders {
+  obs::EventLog log;
+  std::shared_ptr<ckpt::CheckpointWriter> writer;
 
-void print_checkpoint_summary(const ckpt::CheckpointWriter& w) {
-  std::printf(
-      "checkpoint: %llu events -> wal epoch %zu, %llu block files "
-      "(%.1f KB payload)\n",
-      static_cast<unsigned long long>(w.events_appended()), w.wal_epoch(),
-      static_cast<unsigned long long>(w.blocks_written()),
-      static_cast<double>(w.block_bytes_written()) / 1024.0);
-}
+  /// Writes `spec` to DIR/runspec.kv. Refuses --adapt with --checkpoint:
+  /// in-flight re-planning would let the restarted run choose a different
+  /// plan, voiding the bit-identical-resume contract.
+  Recorders(const RunSpec& spec, const Args& args, engine::Engine& eng,
+            bool resumed) {
+    ckpt::CheckpointOptions copts;
+    copts.sync = args.has("sync");
+    if (args.has("crash-at-seq")) {
+      copts.crash.at_event_seq =
+          static_cast<std::int64_t>(args.get_size("crash-at-seq", 0));
+    }
+    if (args.has("crash-at-barrier")) {
+      copts.crash.at_stage_barrier =
+          static_cast<std::int64_t>(args.get_size("crash-at-barrier", 0));
+    }
+    copts.crash.after_barrier_flush = args.has("crash-after-flush");
+    const bool checkpoint = args.has("checkpoint");
+    if (!checkpoint && (copts.crash.armed() || copts.crash.after_barrier_flush)) {
+      throw UsageError("--crash-at-* requires --checkpoint DIR");
+    }
+    if (checkpoint && args.has("adapt")) {
+      throw UsageError(
+          "--checkpoint cannot be combined with --adapt (in-flight "
+          "re-planning breaks bit-identical resume)");
+    }
+    if (args.has("event-log")) {
+      log.attach(std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
+      eng.set_event_log(&log);
+      std::printf("recording event log to %s\n", args.get("event-log").c_str());
+    }
+    if (!checkpoint) return;
+    const std::string dir = args.get("checkpoint");
+    writer = std::make_shared<ckpt::CheckpointWriter>(dir, copts);
+    log.attach(writer);
+    eng.set_event_log(&log);
+    eng.set_checkpoint_hook(writer.get());
+    ckpt::write_kv_snapshot(dir + "/runspec.kv", to_kv(spec).entries(),
+                            copts.sync);
+    if (!resumed) {
+      std::printf("checkpointing to %s (wal epoch %zu%s)\n", dir.c_str(),
+                  writer->wal_epoch(), copts.sync ? ", fsync" : "");
+    }
+  }
+
+  void finish(const Args& args) {
+    log.detach_all();
+    if (args.has("event-log")) {
+      std::printf("event log: %llu events -> %s\n",
+                  static_cast<unsigned long long>(log.emitted()),
+                  args.get("event-log").c_str());
+    }
+    if (writer == nullptr) return;
+    std::printf(
+        "checkpoint: %llu events -> wal epoch %zu, %llu block files "
+        "(%.1f KB payload)\n",
+        static_cast<unsigned long long>(writer->events_appended()),
+        writer->wal_epoch(),
+        static_cast<unsigned long long>(writer->blocks_written()),
+        static_cast<double>(writer->block_bytes_written()) / 1024.0);
+  }
+};
 
 /// Per-job recovery telemetry pulled from the engine's JobMetrics rows
-/// (populated by the scheduler's adopt_restored path).
+/// (populated by the scheduler's adopt_restored path). Prints nothing for a
+/// run that adopted nothing.
 void print_recovery_telemetry(const engine::Engine& eng) {
   bool any = false;
   for (const auto& jm : eng.metrics().jobs()) {
@@ -485,34 +643,26 @@ void print_stages(const engine::Engine& eng) {
 }
 
 int cmd_profile(const Args& args) {
-  const auto wl = make_workload(args.get("workload"), args.has("tiny"));
-  if (!wl) {
-    std::fprintf(stderr, "unknown --workload (kmeans|pca|sql)\n");
-    return 2;
-  }
-  const double scale = args.get_double("scale", 1.0);
-  core::Chopper chopper(bench::bench_cluster(), chopper_options(args.has("tiny")));
+  const RunSpec spec = parse_spec(args);
+  const auto wl = make_workload(spec);
+  core::Chopper chopper(bench::bench_cluster(), chopper_options(spec.tiny));
   const std::string db_path = args.get("db", wl->name() + ".chopperdb");
-  const double input = chopper.profile(wl->name(), wl->runner(), scale);
+  const double input = chopper.profile(wl->name(), wl->runner(), spec.scale);
   chopper.save_db(db_path);
   std::printf("profiled %s at scale %.2f (input %.1f MB) -> %s (%zu observations)\n",
-              wl->name().c_str(), scale, input / 1048576.0, db_path.c_str(),
+              wl->name().c_str(), spec.scale, input / 1048576.0, db_path.c_str(),
               chopper.db().total_observations());
   return 0;
 }
 
 int cmd_plan(const Args& args) {
-  const auto wl = make_workload(args.get("workload"), args.has("tiny"));
-  if (!wl) {
-    std::fprintf(stderr, "unknown --workload (kmeans|pca|sql)\n");
-    return 2;
-  }
-  core::Chopper chopper(bench::bench_cluster(), chopper_options(args.has("tiny")));
+  const RunSpec spec = parse_spec(args);
+  const auto wl = make_workload(spec);
+  core::Chopper chopper(bench::bench_cluster(), chopper_options(spec.tiny));
   // Tolerant: a corrupt or missing DB degrades to "no plan" with a warning
   // instead of killing the CLI.
   chopper.load_db(args.get("db", wl->name() + ".chopperdb"), /*tolerant=*/true);
-  const double scale = args.get_double("scale", 1.0);
-  const auto input = static_cast<double>(wl->input_bytes(scale));
+  const auto input = static_cast<double>(wl->input_bytes(spec.scale));
   const auto plan = args.has("naive") ? chopper.plan_naive(wl->name(), input)
                                       : chopper.plan(wl->name(), input);
   const auto cfg = chopper.plan_config(plan);
@@ -536,75 +686,32 @@ int cmd_plan(const Args& args) {
   return 0;
 }
 
-int cmd_run(const Args& args) {
-  const auto wl = make_workload(args.get("workload"), args.has("tiny"));
-  if (!wl) {
-    std::fprintf(stderr, "unknown --workload (kmeans|pca|sql)\n");
-    return 2;
-  }
-  if ((args.has("crash-at-seq") || args.has("crash-at-barrier") ||
-       args.has("crash-after-flush")) &&
-      !args.has("checkpoint")) {
-    throw UsageError("--crash-at-* requires --checkpoint DIR");
-  }
-  const double scale = args.get_double("scale", 1.0);
-  engine::EngineOptions opts = bench::vanilla_options();
-  if (args.has("speculation")) opts.speculation.enabled = true;
-  if (args.has("aqe")) {
-    opts.adaptive.enabled = true;
-    opts.adaptive.target_partition_bytes = 24ULL << 20;
-    opts.adaptive.min_partitions = 8;
-  }
-  double mem_scale = 1.0;
-  if (args.has("mem-scale")) {
-    mem_scale = args.get_double("mem-scale", 1.0);
-    if (mem_scale <= 0.0) {
-      throw UsageError("invalid --mem-scale '" + args.get("mem-scale") +
-                       "' (must be > 0)");
-    }
-    opts.memory.enforce = true;
+/// `run`, fresh or resumed. With `resume`, the engine is armed with its
+/// ledger: adopt_restored skips every committed stage and the rest
+/// re-execute deterministically.
+int run(const RunSpec& spec, const Args& args, ckpt::ResumePlan* resume) {
+  const auto wl = make_workload(spec);
+  const engine::EngineOptions opts = engine_options(spec);
+  const double mem_scale = spec.mem_scale.value_or(1.0);
+  if (spec.mem_scale && resume == nullptr) {
     std::printf("memory budgets enforced at %.2fx executor memory\n",
                 mem_scale);
   }
   engine::Engine eng(bench::bench_cluster(mem_scale), opts);
-  obs::EventLog event_log;
-  if (args.has("event-log")) {
-    event_log.attach(
-        std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
-    eng.set_event_log(&event_log);
-    std::printf("recording event log to %s\n", args.get("event-log").c_str());
-  }
-  std::shared_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  if (args.has("checkpoint")) {
-    ckpt_writer = attach_checkpoint(
-        args, event_log, eng,
-        {{"command", "run"},
-         {"workload", args.get("workload")},
-         {"scale", args.get("scale", "1")},
-         {"tiny", args.has("tiny") ? "1" : "0"},
-         {"conf", args.get("conf")},
-         {"speculation", args.has("speculation") ? "1" : "0"},
-         {"aqe", args.has("aqe") ? "1" : "0"},
-         // --mem-scale turns enforcement on even at 1.0, so record both.
-         {"mem-scale", args.get("mem-scale", "1")},
-         {"mem-enforce", args.has("mem-scale") ? "1" : "0"}});
-  }
+  Recorders rec(spec, args, eng, resume != nullptr);
 
-  common::KvConfig initial_plan;
-  std::shared_ptr<core::ConfigPlanProvider> provider;
-  if (args.has("conf")) {
-    initial_plan = common::KvConfig::load(args.get("conf"), /*tolerant=*/true);
-    provider = std::make_shared<core::ConfigPlanProvider>(initial_plan);
-    eng.set_plan_provider(provider);
+  // An empty plan leaves every stage at the engine default until a --conf
+  // scheme or the adaptive controller supplies one.
+  auto provider = std::make_shared<core::ConfigPlanProvider>(spec.plan);
+  eng.set_plan_provider(provider);
+  if (resume != nullptr) {
+    eng.set_resume_ledger(&resume->ledger);
+    std::printf("resuming %s (scale %.2f) into wal epoch %zu\n",
+                spec.workload.c_str(), spec.scale, rec.writer->wal_epoch());
+  } else if (args.has("conf")) {
     std::printf("running %s with plan %s (%zu stage schemes)\n",
                 wl->name().c_str(), args.get("conf").c_str(), provider->size());
   } else {
-    if (args.has("adapt")) {
-      // Empty provider: stages start at the engine default until the
-      // controller adopts its first plan.
-      provider = std::make_shared<core::ConfigPlanProvider>();
-      eng.set_plan_provider(provider);
-    }
     std::printf("running %s vanilla (default parallelism %zu)\n",
                 wl->name().c_str(), opts.default_parallelism);
   }
@@ -613,7 +720,7 @@ int cmd_run(const Args& args) {
   std::shared_ptr<adapt::AdaptiveController> controller;
   if (args.has("adapt")) {
     chopper = std::make_unique<core::Chopper>(bench::bench_cluster(mem_scale),
-                                              chopper_options(args.has("tiny")));
+                                              chopper_options(spec.tiny));
     if (args.has("db")) chopper->load_db(args.get("db"), /*tolerant=*/true);
     adapt::AdaptOptions aopts;
     aopts.epsilon = args.get_double("adapt-epsilon", aopts.epsilon);
@@ -621,10 +728,10 @@ int cmd_run(const Args& args) {
         args.get_size("adapt-min-obs", aopts.min_observations);
     aopts.max_replans = args.get_size("adapt-max-replans", aopts.max_replans);
     controller = std::make_shared<adapt::AdaptiveController>(
-        *chopper, wl->name(), provider, initial_plan, aopts);
-    controller->set_event_log(&event_log);
-    event_log.attach(controller);
-    eng.set_event_log(&event_log);
+        *chopper, wl->name(), provider, spec.plan, aopts);
+    controller->set_event_log(&rec.log);
+    rec.log.attach(controller);
+    eng.set_event_log(&rec.log);
     std::printf(
         "in-flight adaptation on (epsilon=%.2f, min-obs=%zu, "
         "max-replans=%zu, db=%zu observations)\n",
@@ -636,14 +743,14 @@ int cmd_run(const Args& args) {
   // planner prices every cache() dataset when the job plan is built; the
   // block manager then evicts cheapest-to-rebuild / least-reused first.
   std::shared_ptr<cacheplan::CachePlanner> cache_planner;
-  if (parse_cache_policy(args) == engine::EvictionPolicy::kCost) {
+  if (spec.cache_policy == engine::EvictionPolicy::kCost) {
     cache_planner = std::make_shared<cacheplan::CachePlanner>();
     if (chopper != nullptr) {
       // Single driver thread: planning never races the adaptive folds, so
       // the planner may read the live DB (recurrence + measured t_exe).
       cache_planner->set_workload_db(&chopper->db(), wl->name());
     }
-    cache_planner->set_event_log(&event_log);
+    cache_planner->set_event_log(&rec.log);
     eng.set_cache_advisor(cache_planner);
     eng.block_manager().set_eviction_policy(engine::EvictionPolicy::kCost);
     if (controller != nullptr) {
@@ -657,7 +764,7 @@ int cmd_run(const Args& args) {
   }
 
   try {
-    wl->run(eng, scale);
+    wl->run(eng, spec.scale);
   } catch (const ckpt::SimulatedCrash& e) {
     // The scheduled driver death fired: the WAL is already cut back to its
     // durable watermark. Exit cleanly so scripts chain straight into resume.
@@ -667,6 +774,7 @@ int cmd_run(const Args& args) {
     return 0;
   }
   print_stages(eng);
+  print_recovery_telemetry(eng);
   if (controller != nullptr) {
     const adapt::AdaptStats ast = controller->stats();
     std::printf(
@@ -685,13 +793,7 @@ int cmd_run(const Args& args) {
     }
     std::printf("\n");
   }
-  event_log.detach_all();
-  if (args.has("event-log")) {
-    std::printf("event log: %llu events -> %s\n",
-                static_cast<unsigned long long>(event_log.emitted()),
-                args.get("event-log").c_str());
-  }
-  if (ckpt_writer != nullptr) print_checkpoint_summary(*ckpt_writer);
+  rec.finish(args);
   return 0;
 }
 
@@ -718,34 +820,51 @@ int cmd_inspect(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  const std::size_t jobs = args.get_size("jobs", 8);
-  const std::size_t max_concurrent = args.get_size("max-concurrent", 4);
-  const std::string mode_s = args.get("mode", "fifo");
-  if (mode_s != "fifo" && mode_s != "fair") {
-    throw UsageError("invalid --mode '" + mode_s + "' (fifo|fair)");
+/// Carry the finished jobs' durable history forward into the new epoch, so
+/// it stays self-contained, and decode their kJobFinish rows into
+/// re-admittable results keyed by job id.
+std::map<std::size_t, engine::JobMetrics> carry_finished_jobs(
+    const ckpt::ResumePlan& plan, ckpt::CheckpointWriter& writer) {
+  std::map<std::size_t, engine::JobMetrics> finished;
+  for (const auto& j : plan.jobs) {
+    if (j.finished) finished[j.job_id] = engine::JobMetrics{};
   }
-  const bool tiny = args.has("tiny");
+  const obs::HistoryReader hr = obs::HistoryReader::load(plan.wal);
+  for (const auto& e : hr.events()) {
+    const auto jid = static_cast<std::size_t>(e.job);
+    if (finished.count(jid) == 0) continue;
+    switch (e.kind) {
+      case obs::EventKind::kJobSubmit:
+      case obs::EventKind::kStageStart:
+      case obs::EventKind::kTaskSpan:
+      case obs::EventKind::kShuffleWrite:
+      case obs::EventKind::kBlockStore:
+      case obs::EventKind::kStageEnd:
+        writer.append(e);
+        break;
+      case obs::EventKind::kJobFinish:
+        finished[jid] = obs::job_from_event(e);
+        writer.append(e);
+        break;
+      default:
+        break;
+    }
+  }
+  return finished;
+}
 
-  engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
-  obs::EventLog event_log;
-  if (args.has("event-log")) {
-    event_log.attach(
-        std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
-    eng.set_event_log(&event_log);  // before JobServer: the ledger wires in
-    std::printf("recording event log to %s\n", args.get("event-log").c_str());
-  }
-  std::shared_ptr<ckpt::CheckpointWriter> ckpt_writer;
-  if (args.has("checkpoint")) {
-    // Also before JobServer construction, for the same ledger reason.
-    ckpt_writer = attach_checkpoint(
-        args, event_log, eng,
-        {{"command", "serve"},
-         {"jobs", std::to_string(jobs)},
-         {"mode", mode_s},
-         {"max-concurrent", std::to_string(max_concurrent)},
-         {"tiny", tiny ? "1" : "0"}});
-  }
+/// `serve`, fresh or resumed. With `resume`, jobs whose kJobFinish is
+/// durable are re-admitted without re-execution and the rest re-run. Service
+/// jobs run against per-job virtual clocks, so stage adoption does not
+/// apply: recovery here is job-granular, not stage-granular.
+int serve(const RunSpec& spec, const Args& args,
+          const ckpt::ResumePlan* resume) {
+  engine::Engine eng(bench::bench_cluster(spec.mem_scale.value_or(1.0)),
+                     engine_options(spec));
+  Recorders rec(spec, args, eng, resume != nullptr);
+  const auto finished =
+      resume != nullptr ? carry_finished_jobs(*resume, *rec.writer)
+                        : std::map<std::size_t, engine::JobMetrics>{};
 
   // --adapt: adaptive controller shared by all workers; every job opts in.
   std::unique_ptr<core::Chopper> chopper;
@@ -754,12 +873,12 @@ int cmd_serve(const Args& args) {
     auto provider = std::make_shared<core::ConfigPlanProvider>();
     eng.set_plan_provider(provider);
     chopper = std::make_unique<core::Chopper>(bench::bench_cluster(),
-                                              chopper_options(tiny));
+                                              chopper_options(spec.tiny));
     controller = std::make_shared<adapt::AdaptiveController>(
         *chopper, "serve", provider, common::KvConfig{});
-    controller->set_event_log(&event_log);
-    event_log.attach(controller);
-    eng.set_event_log(&event_log);  // before JobServer: the ledger wires in
+    controller->set_event_log(&rec.log);
+    rec.log.attach(controller);
+    eng.set_event_log(&rec.log);  // before JobServer: the ledger wires in
     std::printf("in-flight adaptation on (per-job opt-in)\n");
   }
 
@@ -767,19 +886,18 @@ int cmd_serve(const Args& args) {
   // scores structurally here (no WorkloadDb — concurrent jobs would race
   // the adaptive folds); pool weights become per-pool cache-share floors.
   std::shared_ptr<cacheplan::CachePlanner> cache_planner;
-  if (parse_cache_policy(args) == engine::EvictionPolicy::kCost) {
+  if (spec.cache_policy == engine::EvictionPolicy::kCost) {
     cache_planner = std::make_shared<cacheplan::CachePlanner>();
-    cache_planner->set_event_log(&event_log);
+    cache_planner->set_event_log(&rec.log);
     eng.set_cache_advisor(cache_planner);
     eng.block_manager().set_eviction_policy(engine::EvictionPolicy::kCost);
     std::printf("cache policy: cost-aware eviction with pool shares\n");
   }
 
   service::JobServerOptions sopts;
-  sopts.mode = mode_s == "fair" ? service::SchedulingMode::kFair
-                                : service::SchedulingMode::kFifo;
-  sopts.max_concurrent_jobs = max_concurrent;
-  sopts.max_queued_jobs = jobs + 1;
+  sopts.mode = spec.mode;
+  sopts.max_concurrent_jobs = spec.max_concurrent;
+  sopts.max_queued_jobs = spec.jobs + 1;
   sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
   sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
   service::JobServer server(eng, sopts);
@@ -788,25 +906,53 @@ int cmd_serve(const Args& args) {
     cache_planner->set_pool_shares(server.pool_share_fractions());
   }
 
-  std::printf("serving %zu jobs, mode=%s, %zu concurrent slots\n", jobs,
-              service::to_string(sopts.mode), max_concurrent);
+  if (resume != nullptr) {
+    std::printf(
+        "re-serving %zu jobs (%zu finished re-admitted, %zu re-run), "
+        "mode=%s, wal epoch %zu\n",
+        spec.jobs, finished.size(),
+        spec.jobs - std::min(spec.jobs, finished.size()),
+        service::to_string(spec.mode), rec.writer->wal_epoch());
+  } else {
+    std::printf("serving %zu jobs, mode=%s, %zu concurrent slots\n",
+                spec.jobs, service::to_string(spec.mode), spec.max_concurrent);
+  }
 
   std::vector<service::JobHandle> handles;
   std::vector<std::string> names;
   std::vector<std::string> pools;
-  for (std::size_t i = 0; i < jobs; ++i) {
+  for (std::size_t i = 0; i < spec.jobs; ++i) {
     service::SubmitOptions o;
-    engine::DatasetPtr ds = make_serve_job(i, tiny, &o.name, &o.pool);
+    engine::DatasetPtr ds = make_serve_job(i, spec.tiny, &o.name, &o.pool);
     o.adapt = controller != nullptr;
     names.push_back(o.name);
     pools.push_back(o.pool);
     if (cache_planner != nullptr) cache_planner->set_job_pool(o.name, o.pool);
-    handles.push_back(server.submit(ds, o));
+    const auto it = finished.find(i);
+    if (it == finished.end()) {
+      handles.push_back(server.submit(ds, o));
+      continue;
+    }
+    // kJobFinish carries the job's execution record, not its result
+    // payload; a re-admitted handle surfaces metrics + success state.
+    engine::JobResult r;
+    static_cast<engine::JobMetrics&>(r) = it->second;
+    if (r.name.empty()) r.name = o.name;
+    r.replayed_events = r.stage_ids.size();
+    handles.push_back(server.admit_completed(o.name, std::move(r)));
   }
   server.wait_all();
 
-  bench::Table table({"job", "pool", "state", "submit", "admit", "finish",
-                      "service(s)", "latency(s)"});
+  // A resumed server names each job's recovery instead of its virtual
+  // submit/admit/finish times.
+  std::vector<std::string> cols = {"job", "pool", "state"};
+  if (resume != nullptr) {
+    cols.push_back("recovery");
+  } else {
+    cols.insert(cols.end(), {"submit", "admit", "finish"});
+  }
+  cols.insert(cols.end(), {"service(s)", "latency(s)"});
+  bench::Table table(cols);
   double makespan = 0.0;
   for (std::size_t i = 0; i < handles.size(); ++i) {
     auto& h = handles[i];
@@ -816,24 +962,32 @@ int cmd_serve(const Args& args) {
       h.wait();
     } catch (const engine::JobAbortedError&) {
     }
-    table.add_row({names[i], pools[i], service::to_string(h.status()),
-                   bench::Table::num(st.submit_vtime, 1),
-                   bench::Table::num(st.admit_vtime, 1),
-                   bench::Table::num(st.finish_vtime, 1),
-                   bench::Table::num(st.service_s, 1),
-                   bench::Table::num(st.latency_s(), 1)});
+    std::vector<std::string> row = {names[i], pools[i],
+                                    service::to_string(h.status())};
+    if (resume != nullptr) {
+      row.push_back(finished.count(i) != 0 ? "replayed" : "re-run");
+    } else {
+      row.insert(row.end(), {bench::Table::num(st.submit_vtime, 1),
+                             bench::Table::num(st.admit_vtime, 1),
+                             bench::Table::num(st.finish_vtime, 1)});
+    }
+    row.insert(row.end(), {bench::Table::num(st.service_s, 1),
+                           bench::Table::num(st.latency_s(), 1)});
+    table.add_row(std::move(row));
   }
   table.print();
 
-  bench::Table ptable({"pool", "weight", "min_share", "granted(s)"});
-  for (const auto& [name, ps] : server.pool_stats()) {
-    ptable.add_row({name, bench::Table::num(ps.weight, 1),
-                    bench::Table::num(ps.min_share, 2),
-                    bench::Table::num(ps.granted_s, 1)});
+  if (resume == nullptr) {
+    bench::Table ptable({"pool", "weight", "min_share", "granted(s)"});
+    for (const auto& [name, ps] : server.pool_stats()) {
+      ptable.add_row({name, bench::Table::num(ps.weight, 1),
+                      bench::Table::num(ps.min_share, 2),
+                      bench::Table::num(ps.granted_s, 1)});
+    }
+    ptable.print();
+    std::printf("virtual makespan: %.1fs over %zu grants\n", makespan,
+                server.grant_log().size());
   }
-  ptable.print();
-  std::printf("virtual makespan: %.1fs over %zu grants\n", makespan,
-              server.grant_log().size());
   if (controller != nullptr) {
     const adapt::AdaptStats ast = controller->stats();
     std::printf(
@@ -851,184 +1005,12 @@ int cmd_serve(const Args& args) {
         cache_planner->decisions_made(), t.cache_hits, t.cache_misses,
         static_cast<double>(t.recompute_saved_bytes) / 1024.0);
   }
-  event_log.detach_all();
-  if (args.has("event-log")) {
-    std::printf("event log: %llu events -> %s\n",
-                static_cast<unsigned long long>(event_log.emitted()),
-                args.get("event-log").c_str());
-  }
-  if (ckpt_writer != nullptr) print_checkpoint_summary(*ckpt_writer);
+  rec.finish(args);
   return 0;
 }
 
-/// `resume DIR` for a checkpoint written by `run --checkpoint`: rebuild the
-/// identical workload + engine from the runspec, arm the resume ledger and
-/// re-run the driver — adopt_restored skips every committed stage, the rest
-/// re-execute deterministically.
-int resume_run(const Args& args, const std::string& dir,
-               ckpt::ResumePlan& plan,
-               std::map<std::string, std::string>& rs) {
-  const bool tiny = rs["tiny"] == "1";
-  const auto wl = make_workload(rs["workload"], tiny);
-  if (!wl) {
-    std::fprintf(stderr, "error: runspec names unknown workload '%s'\n",
-                 rs["workload"].c_str());
-    return 1;
-  }
-  const double scale =
-      rs.count("scale") ? parse_flag<double>("scale", rs["scale"]) : 1.0;
-  const double mem_scale =
-      rs.count("mem-scale") ? parse_flag<double>("mem-scale", rs["mem-scale"])
-                            : 1.0;
-  engine::EngineOptions opts = bench::vanilla_options();
-  if (rs["speculation"] == "1") opts.speculation.enabled = true;
-  if (rs["aqe"] == "1") {
-    opts.adaptive.enabled = true;
-    opts.adaptive.target_partition_bytes = 24ULL << 20;
-    opts.adaptive.min_partitions = 8;
-  }
-  if (rs["mem-enforce"] == "1") opts.memory.enforce = true;
-
-  engine::Engine eng(bench::bench_cluster(mem_scale), opts);
-  obs::EventLog event_log;
-  ckpt::CheckpointOptions copts;
-  copts.sync = args.has("sync");
-  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, copts);
-  event_log.attach(writer);
-  eng.set_event_log(&event_log);
-  eng.set_checkpoint_hook(writer.get());
-  if (!rs["conf"].empty()) {
-    const auto conf = common::KvConfig::load(rs["conf"], /*tolerant=*/true);
-    eng.set_plan_provider(std::make_shared<core::ConfigPlanProvider>(conf));
-  }
-  eng.set_resume_ledger(&plan.ledger);
-
-  std::printf("resuming %s (scale %.2f) into wal epoch %zu\n",
-              rs["workload"].c_str(), scale, writer->wal_epoch());
-  wl->run(eng, scale);
-  print_stages(eng);
-  print_recovery_telemetry(eng);
-  event_log.detach_all();
-  print_checkpoint_summary(*writer);
-  return 0;
-}
-
-/// `resume DIR` for a checkpoint written by `serve --checkpoint`: rebuild
-/// the identical job mix, re-admit jobs whose kJobFinish is durable without
-/// re-executing them (their history is carried into the new epoch so it
-/// stays self-contained), and re-submit the rest for deterministic re-run.
-/// Service jobs run against per-job virtual clocks, so stage adoption does
-/// not apply — recovery here is job-granular, not stage-granular.
-int resume_serve(const Args& args, const std::string& dir,
-                 ckpt::ResumePlan& plan,
-                 std::map<std::string, std::string>& rs) {
-  const bool tiny = rs["tiny"] == "1";
-  const std::size_t jobs =
-      rs.count("jobs") ? parse_flag<std::size_t>("jobs", rs["jobs"]) : 8;
-  const std::size_t max_concurrent =
-      rs.count("max-concurrent")
-          ? parse_flag<std::size_t>("max-concurrent", rs["max-concurrent"])
-          : 4;
-  const std::string mode_s = rs.count("mode") ? rs["mode"] : "fifo";
-
-  engine::Engine eng(bench::bench_cluster(), bench::vanilla_options());
-  obs::EventLog event_log;
-  ckpt::CheckpointOptions copts;
-  copts.sync = args.has("sync");
-  auto writer = std::make_shared<ckpt::CheckpointWriter>(dir, copts);
-  event_log.attach(writer);
-  eng.set_event_log(&event_log);  // before JobServer: the ledger wires in
-  eng.set_checkpoint_hook(writer.get());
-
-  // Carry the finished jobs' durable history forward into the new epoch and
-  // decode their kJobFinish rows into re-admittable results.
-  std::map<std::size_t, engine::JobMetrics> finished;
-  for (const auto& j : plan.jobs) {
-    if (j.finished) finished[j.job_id] = engine::JobMetrics{};
-  }
-  const obs::HistoryReader hr = obs::HistoryReader::load(plan.wal);
-  for (const auto& e : hr.events()) {
-    const auto jid = static_cast<std::size_t>(e.job);
-    if (finished.count(jid) == 0) continue;
-    switch (e.kind) {
-      case obs::EventKind::kJobSubmit:
-      case obs::EventKind::kStageStart:
-      case obs::EventKind::kTaskSpan:
-      case obs::EventKind::kShuffleWrite:
-      case obs::EventKind::kBlockStore:
-      case obs::EventKind::kStageEnd:
-        writer->append(e);
-        break;
-      case obs::EventKind::kJobFinish:
-        finished[jid] = obs::job_from_event(e);
-        writer->append(e);
-        break;
-      default:
-        break;
-    }
-  }
-
-  service::JobServerOptions sopts;
-  sopts.mode = mode_s == "fair" ? service::SchedulingMode::kFair
-                                : service::SchedulingMode::kFifo;
-  sopts.max_concurrent_jobs = max_concurrent;
-  sopts.max_queued_jobs = jobs + 1;
-  sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
-  sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
-  service::JobServer server(eng, sopts);
-
-  std::printf(
-      "re-serving %zu jobs (%zu finished re-admitted, %zu re-run), mode=%s, "
-      "wal epoch %zu\n",
-      jobs, finished.size(), jobs - std::min(jobs, finished.size()),
-      service::to_string(sopts.mode), writer->wal_epoch());
-
-  std::vector<service::JobHandle> handles;
-  std::vector<std::string> names;
-  std::vector<std::string> pools;
-  for (std::size_t i = 0; i < jobs; ++i) {
-    std::string name, pool;
-    engine::DatasetPtr ds = make_serve_job(i, tiny, &name, &pool);
-    names.push_back(name);
-    pools.push_back(pool);
-    const auto it = finished.find(i);
-    if (it != finished.end()) {
-      // kJobFinish carries the job's execution record, not its result
-      // payload; a re-admitted handle surfaces metrics + success state.
-      engine::JobResult r;
-      static_cast<engine::JobMetrics&>(r) = it->second;
-      if (r.name.empty()) r.name = name;
-      r.replayed_events = r.stage_ids.size();
-      handles.push_back(server.admit_completed(name, std::move(r)));
-    } else {
-      service::SubmitOptions o;
-      o.name = name;
-      o.pool = pool;
-      handles.push_back(server.submit(ds, o));
-    }
-  }
-  server.wait_all();
-
-  bench::Table table({"job", "pool", "state", "recovery", "service(s)",
-                      "latency(s)"});
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    auto& h = handles[i];
-    const auto st = h.stats();
-    try {
-      h.wait();
-    } catch (const engine::JobAbortedError&) {
-    }
-    table.add_row({names[i], pools[i], service::to_string(h.status()),
-                   finished.count(i) != 0 ? "replayed" : "re-run",
-                   bench::Table::num(st.service_s, 1),
-                   bench::Table::num(st.latency_s(), 1)});
-  }
-  table.print();
-  event_log.detach_all();
-  print_checkpoint_summary(*writer);
-  return 0;
-}
-
+/// `resume DIR`: the invocation runspec.kv recorded, with --checkpoint DIR,
+/// through the same run() or serve() a fresh invocation calls.
 int cmd_resume(const Args& args) {
   if (args.positional.empty()) {
     std::fprintf(stderr, "resume requires a checkpoint DIR operand\n");
@@ -1055,20 +1037,21 @@ int cmd_resume(const Args& args) {
     pt.print();
   }
 
-  const auto spec = ckpt::read_kv_snapshot(dir + "/runspec.kv");
-  if (!spec) {
+  const auto stored = ckpt::read_kv_snapshot(dir + "/runspec.kv");
+  if (!stored) {
     std::fprintf(stderr,
                  "error: %s/runspec.kv missing or corrupt (it is written by "
                  "run/serve --checkpoint)\n",
                  dir.c_str());
     return 1;
   }
-  std::map<std::string, std::string> rs(spec->begin(), spec->end());
-  if (rs["command"] == "run") return resume_run(args, dir, plan, rs);
-  if (rs["command"] == "serve") return resume_serve(args, dir, plan, rs);
-  std::fprintf(stderr, "error: runspec has unknown command '%s'\n",
-               rs["command"].c_str());
-  return 1;
+  common::KvConfig kv;
+  for (const auto& [key, value] : *stored) kv.set(key, value);
+  const RunSpec spec = spec_from_kv(kv);
+  Args resumed = args;
+  resumed.flags["checkpoint"] = dir;
+  return spec.command == "run" ? run(spec, resumed, &plan)
+                               : serve(spec, resumed, &plan);
 }
 
 int cmd_chaos(const Args& args) {
@@ -1418,9 +1401,11 @@ int main(int argc, char** argv) {
     validate_flags(*args);
     if (args->command == "profile") return cmd_profile(*args);
     if (args->command == "plan") return cmd_plan(*args);
-    if (args->command == "run") return cmd_run(*args);
+    if (args->command == "run") return run(parse_spec(*args), *args, nullptr);
     if (args->command == "inspect") return cmd_inspect(*args);
-    if (args->command == "serve") return cmd_serve(*args);
+    if (args->command == "serve") {
+      return serve(parse_spec(*args), *args, nullptr);
+    }
     if (args->command == "resume") return cmd_resume(*args);
     if (args->command == "chaos") return cmd_chaos(*args);
     if (args->command == "history") return cmd_history(*args);
