@@ -219,7 +219,7 @@ std::string Table::num(double v, int precision) {
   return buf;
 }
 
-bool Table::write_json(const std::string& path, const std::string& name) const {
+std::string Table::json(const std::string& name) const {
   std::string out = "{\"bench\":";
   obs::append_json_quoted(name, out);
   out += ",\"columns\":[";
@@ -237,7 +237,12 @@ bool Table::write_json(const std::string& path, const std::string& name) const {
     }
     out += ']';
   }
-  out += "]}\n";
+  out += "]}";
+  return out;
+}
+
+bool Table::write_json(const std::string& path, const std::string& name) const {
+  const std::string out = json(name) + "\n";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());

@@ -1,7 +1,8 @@
 // Shared experiment driver for the paper-reproduction benches.
 //
-// Every bench binary reproduces one table or figure of the paper. The
-// harness pins the common experimental setup:
+// `paper_claims` reproduces every table and figure of the paper; the other
+// benches and perfbench reuse its setup. The harness pins the common
+// experimental setup:
 //  * the paper's 6-node heterogeneous cluster (workers A-E), with executor
 //    memory scaled down in proportion to the scaled-down inputs;
 //  * default parallelism 300 (the paper's vanilla configuration);
@@ -86,8 +87,10 @@ class Table {
   void add_row(std::vector<std::string> cells);
   void print() const;
 
-  /// Machine-readable dump: {"bench":NAME,"columns":[...],"rows":[[...]]}.
-  /// Returns false (with a stderr note) when the file cannot be written.
+  /// Machine-readable form: {"bench":NAME,"columns":[...],"rows":[[...]]}.
+  std::string json(const std::string& name) const;
+  /// Writes json(name) and a newline to `path`. Returns false (with a
+  /// stderr note) when the file cannot be written.
   bool write_json(const std::string& path, const std::string& name) const;
 
   static std::string num(double v, int precision = 2);

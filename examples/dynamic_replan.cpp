@@ -7,6 +7,7 @@
 // metrics show the partition counts change mid-workload without rebuilding
 // anything.
 #include <cstdio>
+#include <vector>
 
 #include "chopper/config_plan.h"
 #include "common/rng.h"
@@ -87,11 +88,18 @@ int main() {
   }
 
   std::printf("\nreduce-stage partition counts per iteration:\n");
+  std::vector<std::size_t> counts;
   for (const auto& s : eng.metrics().stages()) {
     if (s.signature == reduce_sig) {
       std::printf("  stage %zu: %zu partitions (%.3fs)\n", s.stage_id,
                   s.num_partitions, s.sim_time_s);
+      counts.push_back(s.num_partitions);
     }
+  }
+  // Iteration i runs under the update pushed after iteration i-1.
+  if (counts != std::vector<std::size_t>{200, 100, 50, 25}) {
+    std::printf("\nThe scheduler missed an update.\n");
+    return 1;
   }
   std::printf("\nThe scheduler picked up each update without restarting the "
               "workload.\n");

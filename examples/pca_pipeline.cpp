@@ -2,6 +2,7 @@
 // spectrum against the generator's ground truth (the data is synthesized
 // from `latent_dims` factors, so the top eigenvalues should dominate),
 // then auto-tune it with CHOPPER.
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 
@@ -51,5 +52,8 @@ int main() {
               "%.2f vs %.2f)\n",
               optimized->metrics().total_sim_time(), tuned.eigenvalues[0],
               result.eigenvalues[0]);
-  return 0;
+  // Partitioning only reorders the floating-point sums.
+  const bool same = std::abs(tuned.eigenvalues[0] - result.eigenvalues[0]) <=
+                    1e-9 * std::abs(result.eigenvalues[0]);
+  return same ? 0 : 1;
 }

@@ -69,5 +69,5 @@ int main() {
   std::printf("query result: %llu joined rows (vanilla) vs %llu (CHOPPER)\n",
               static_cast<unsigned long long>(vres.joined_rows),
               static_cast<unsigned long long>(cres.joined_rows));
-  return 0;
+  return vres.joined_rows == cres.joined_rows ? 0 : 1;
 }

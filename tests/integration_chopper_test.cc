@@ -76,10 +76,9 @@ TEST(Integration, KMeansChopperBeatsVanilla) {
   const double vanilla = vanilla_time(wl, cluster, opts.engine_options);
 
   EXPECT_GT(chopper_time, 0.0);
-  // The optimized plan must not be materially worse than vanilla; the paper
-  // reports ~35% gains, we assert a conservative "no worse than 5% slower"
-  // plus log the achieved speedup.
-  EXPECT_LT(chopper_time, vanilla * 1.05)
+  // The optimized plan must beat vanilla (the paper reports ~35% gains);
+  // the achieved speedup is logged.
+  EXPECT_LT(chopper_time, vanilla)
       << "chopper=" << chopper_time << "s vanilla=" << vanilla << "s";
   ::testing::Test::RecordProperty("speedup_pct",
                                   100.0 * (vanilla - chopper_time) / vanilla);

@@ -246,6 +246,15 @@ struct Args {
   }
 };
 
+/// Flags that never take a value, so the token after one is an operand or
+/// the next flag (`resume --sync DIR`).
+bool is_switch(const std::string& flag) {
+  static const std::vector<std::string> switches = {
+      "tiny", "sync", "aqe", "speculation", "naive", "adapt",
+      "crash-after-flush"};
+  return std::find(switches.begin(), switches.end(), flag) != switches.end();
+}
+
 std::optional<Args> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   Args args;
@@ -258,7 +267,8 @@ std::optional<Args> parse(int argc, char** argv) {
       continue;
     }
     flag = flag.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+    if (!is_switch(flag) && i + 1 < argc &&
+        std::strncmp(argv[i + 1], "--", 2) != 0) {
       args.flags[flag] = argv[++i];
     } else {
       args.flags[flag] = "1";  // boolean flag
@@ -268,7 +278,8 @@ std::optional<Args> parse(int argc, char** argv) {
 }
 
 /// Reject flag names the subcommand does not define (exit 2 via UsageError),
-/// so a typo like --event-lgo fails loudly instead of being ignored.
+/// so a typo like --event-lgo fails loudly instead of being ignored, and an
+/// operand given to a command that takes none.
 void validate_flags(const Args& args) {
   static const std::map<std::string, std::vector<std::string>> known = {
       {"profile", {"workload", "scale", "db", "tiny"}},
@@ -289,6 +300,13 @@ void validate_flags(const Args& args) {
   };
   const auto it = known.find(args.command);
   if (it == known.end()) return;  // unknown command: main exits 3
+  const bool takes_operand = args.command == "resume" ||
+                             args.command == "history" ||
+                             args.command == "trace";
+  if (!takes_operand && !args.positional.empty()) {
+    throw UsageError("unexpected operand '" + args.positional.front() +
+                     "' for '" + args.command + "'");
+  }
   for (const auto& [flag, value] : args.flags) {
     if (std::find(it->second.begin(), it->second.end(), flag) ==
         it->second.end()) {
