@@ -128,7 +128,8 @@ ArmResult run_arm(engine::EvictionPolicy policy,
 
   ArmResult out;
   for (std::size_t i = 0; i < iterations(); ++i) {
-    const std::string tag = "#" + std::to_string(i);
+    std::string tag = "#";
+    tag += std::to_string(i);
     // Iterative job: re-read the hot dataset, light per-iteration work.
     auto it_job = hot->map(
                          "cp-assign" + tag,

@@ -158,7 +158,7 @@ void run_trial(ArmStats& st, const workloads::Workload& wl, double scale,
   ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
   bool any_adoptable = false;
   for (const auto& j : plan.jobs) {
-    if (!j.full_rerun && j.committed_stages > 0) any_adoptable = true;
+    if (j.committed_stages > 0) any_adoptable = true;
   }
 
   RunOut resumed = run_attempt(wl, scale, opts, dir, {}, &plan.ledger);

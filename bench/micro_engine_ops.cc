@@ -51,18 +51,19 @@ namespace {
 std::atomic<std::size_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// noinline, new and delete alike: inlined into a caller, a bare std::malloc
+// or std::free next to its replaced counterpart reads to GCC as a mismatched
+// pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-// noinline: inlined into a caller next to the replaced operator new, a bare
-// std::free reads to GCC as freeing `new`'d memory (-Wmismatched-new-delete).
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);

@@ -17,16 +17,18 @@ using namespace chopper;
 
 namespace {
 
-// Deterministic event generator: 200k events, Zipf-hot user ids.
+// Deterministic event generator: 200k events, Zipf-hot user ids. Event i
+// comes from its own stream, so the data do not depend on the split count
+// and every run below aggregates the same events.
 engine::SourceFn make_events() {
   return [](std::size_t index, std::size_t count) {
-    common::Xoshiro256 rng(common::hash_combine(2024, index * 31 + count));
     common::ZipfSampler zipf(/*n=*/5000, /*theta=*/0.9);
     engine::Partition p;
     const std::size_t total = 200'000;
     const std::size_t begin = total * index / count;
     const std::size_t end = total * (index + 1) / count;
     for (std::size_t i = begin; i < end; ++i) {
+      common::Xoshiro256 rng(common::hash_combine(2024, i));
       engine::Record r;
       r.key = zipf(rng);                          // user id
       r.values = {rng.next_double() * 10.0, 1.0}; // {amount, count}
@@ -37,7 +39,8 @@ engine::SourceFn make_events() {
   };
 }
 
-void run_job(engine::Engine& eng) {
+/// Runs the job on `eng`; returns the number of distinct users.
+std::size_t run_job(engine::Engine& eng) {
   auto events = engine::Dataset::source("events", 120, make_events());
   auto totals =
       events
@@ -52,6 +55,7 @@ void run_job(engine::Engine& eng) {
   std::printf("  %zu distinct users, %.1fs simulated, %d stages\n",
               result.records.size(), result.sim_time_s,
               static_cast<int>(eng.metrics().stages().size()));
+  return result.records.size();
 }
 
 }  // namespace
@@ -64,7 +68,7 @@ int main() {
   engine::EngineOptions opts;
   opts.default_parallelism = 300;
   engine::Engine vanilla(cluster, opts);
-  run_job(vanilla);
+  const std::size_t vanilla_users = run_job(vanilla);
 
   std::printf("== CHOPPER: profile -> plan -> optimized run ==\n");
   core::ChopperOptions copts;
@@ -81,10 +85,16 @@ int main() {
 
   auto optimized = chopper.make_engine();
   optimized->set_plan_provider(chopper.make_provider(plan));
-  run_job(*optimized);
+  const std::size_t chopper_users = run_job(*optimized);
 
   std::printf("vanilla %.2fs -> CHOPPER %.2fs\n",
               vanilla.metrics().total_sim_time(),
               optimized->metrics().total_sim_time());
+  // The plan changes only how the job is partitioned, never its answer.
+  if (chopper_users != vanilla_users) {
+    std::printf("FAIL: vanilla found %zu distinct users, CHOPPER %zu\n",
+                vanilla_users, chopper_users);
+    return 1;
+  }
   return 0;
 }

@@ -1,7 +1,9 @@
 #include "ckpt/blockfile.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -23,33 +25,93 @@ enum class BlockKind : std::uint32_t { kShuffle = 1, kCache = 2, kResult = 3 };
 
 // -- encoding primitives -----------------------------------------------------
 
-void put_bytes(std::string& out, const void* data, std::size_t len) {
-  out.append(static_cast<const char*>(data), len);
-}
+/// Streams a block file through one 64 KiB buffer and checksums it on the
+/// way. A full buffer is a whole number of 8-byte lanes, hashed lane by lane
+/// as it is written; finish() passes the last, partial buffer to
+/// update_bytes, which adds its tail lane and the tail's length. The footer
+/// therefore equals Checksum64::update_bytes over everything before it.
+class BlockSink {
+ public:
+  explicit BlockSink(std::FILE* f) : f_(f) {}
 
-void put_u32(std::string& out, std::uint32_t v) { put_bytes(out, &v, 4); }
-void put_u64(std::string& out, std::uint64_t v) { put_bytes(out, &v, 8); }
+  void put(const void* data, std::size_t len) {
+    const char* p = static_cast<const char*>(data);
+    while (len > 0) {
+      const std::size_t n = std::min(len, sizeof(buf_) - used_);
+      std::memcpy(buf_ + used_, p, n);
+      used_ += n;
+      p += n;
+      len -= n;
+      if (used_ == sizeof(buf_)) drain();
+    }
+  }
+
+  /// Write the buffered tail and the footer; false on any IO error.
+  bool finish() {
+    sum_.update_bytes(buf_, used_);
+    const std::uint64_t digest = sum_.digest();
+    write(buf_, used_);
+    write(&digest, sizeof(digest));
+    return ok_;
+  }
+
+ private:
+  void drain() {
+    for (std::size_t i = 0; i < used_; i += 8) {
+      std::uint64_t lane;
+      std::memcpy(&lane, buf_ + i, 8);
+      sum_.update_u64(lane);
+    }
+    write(buf_, used_);
+    used_ = 0;
+  }
+  void write(const void* data, std::size_t len) {
+    ok_ = ok_ && std::fwrite(data, 1, len, f_) == len;
+  }
+
+  std::FILE* f_;
+  common::Checksum64 sum_;
+  bool ok_ = true;
+  std::size_t used_ = 0;
+  char buf_[1 << 16];
+};
+
+void put_char(BlockSink& out, char c) { out.put(&c, 1); }
+void put_u32(BlockSink& out, std::uint32_t v) { out.put(&v, 4); }
+void put_u64(BlockSink& out, std::uint64_t v) { out.put(&v, 8); }
 
 template <typename T, typename Fn>
-void put_vec(std::string& out, const std::vector<T>& v, Fn put_one) {
+void put_vec(BlockSink& out, const std::vector<T>& v, Fn put_one) {
   put_u64(out, v.size());
   for (const T& x : v) put_one(out, x);
 }
 
 /// Raw memcpy fast path for trivially-copyable element vectors.
 template <typename T>
-void put_pod_vec(std::string& out, const std::vector<T>& v) {
+void put_pod_vec(BlockSink& out, const std::vector<T>& v) {
   put_u64(out, v.size());
-  if (!v.empty()) put_bytes(out, v.data(), v.size() * sizeof(T));
+  if (!v.empty()) out.put(v.data(), v.size() * sizeof(T));
 }
 
+constexpr std::size_t kHeader = sizeof(kMagic) + 8;  // magic + kind + version
+constexpr std::size_t kFooter = 8;                   // Checksum64 digest
+
+/// Decodes the payload of a checked block file in place: the bytes between
+/// its header and its footer.
 struct Cursor {
+  explicit Cursor(const std::string& file)
+      : data(file), pos(kHeader), end(file.size() - kFooter) {}
+
   const std::string& data;
-  std::size_t pos = 0;
+  std::size_t pos;
+  std::size_t end;
   bool ok = true;
 
+  /// Every payload byte was consumed, and nothing was out of bounds.
+  bool done() const { return ok && pos == end; }
+
   bool take(void* dst, std::size_t len) {
-    if (!ok || pos + len > data.size()) {
+    if (!ok || len > end - pos) {
       ok = false;
       return false;
     }
@@ -71,7 +133,7 @@ struct Cursor {
   std::vector<T> pod_vec() {
     const std::uint64_t n = u64();
     std::vector<T> v;
-    if (!ok || n > (data.size() - pos) / sizeof(T)) {
+    if (!ok || n > (end - pos) / sizeof(T)) {
       ok = false;
       return v;
     }
@@ -83,12 +145,12 @@ struct Cursor {
 
 // -- partitioner / partition codecs ------------------------------------------
 
-void put_partitioner(std::string& out, const engine::Partitioner* p) {
+void put_partitioner(BlockSink& out, const engine::Partitioner* p) {
   if (p == nullptr) {
-    out.push_back('\0');
+    put_char(out, '\0');
     return;
   }
-  out.push_back('\1');
+  put_char(out, '\1');
   put_u32(out, static_cast<std::uint32_t>(p->kind()));
   put_u64(out, p->num_partitions());
   if (p->kind() == engine::PartitionerKind::kRange) {
@@ -121,7 +183,7 @@ std::shared_ptr<engine::Partitioner> take_partitioner(Cursor& c) {
   return std::make_shared<engine::HashPartitioner>(n);
 }
 
-void put_partition(std::string& out, const engine::Partition& p) {
+void put_partition(BlockSink& out, const engine::Partition& p) {
   put_u64(out, p.bytes());
   put_pod_vec(out, p.raw_keys());
   put_pod_vec(out, p.raw_aux());
@@ -170,39 +232,42 @@ bool valid_offsets(const engine::ShuffleRow& row, std::size_t r,
 
 // -- framing ----------------------------------------------------------------
 
-bool write_block(const std::string& path, BlockKind kind,
-                 const std::string& payload, bool sync) {
-  std::string file;
-  file.reserve(payload.size() + 24);
-  put_bytes(file, kMagic, sizeof(kMagic));
-  put_u32(file, static_cast<std::uint32_t>(kind));
-  put_u32(file, kVersion);
-  file += payload;
-  common::Checksum64 sum;
-  sum.update_bytes(file.data(), file.size());
-  put_u64(file, sum.digest());
-  return write_file_atomic(path, file, sync);
+/// Write a block file: header, the payload `put_payload` streams, footer.
+template <typename Fn>
+bool write_block(const std::string& path, BlockKind kind, bool sync,
+                 const Fn& put_payload) {
+  return write_file_atomic(path, sync, [&](std::FILE* f) {
+    BlockSink out(f);
+    out.put(kMagic, sizeof(kMagic));
+    put_u32(out, static_cast<std::uint32_t>(kind));
+    put_u32(out, kVersion);
+    put_payload(out);
+    return out.finish();
+  });
 }
 
+/// The whole file at `path` when it is a block of `want_kind` whose footer
+/// checks out; its payload lies between kHeader and kFooter (see Cursor).
 std::optional<std::string> read_block(const std::string& path,
                                       BlockKind want_kind) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size < kHeader + kFooter) return std::nullopt;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return std::nullopt;
-  std::string content;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  std::string content(static_cast<std::size_t>(size), '\0');
+  const bool read_all =
+      std::fread(content.data(), 1, content.size(), f) == content.size();
   std::fclose(f);
 
-  constexpr std::size_t kHeader = sizeof(kMagic) + 8;  // magic + kind + version
-  if (content.size() < kHeader + 8) return std::nullopt;
+  if (!read_all) return std::nullopt;
   if (std::memcmp(content.data(), kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
   }
   std::uint64_t stored = 0;
-  std::memcpy(&stored, content.data() + content.size() - 8, 8);
+  std::memcpy(&stored, content.data() + content.size() - kFooter, kFooter);
   common::Checksum64 sum;
-  sum.update_bytes(content.data(), content.size() - 8);
+  sum.update_bytes(content.data(), content.size() - kFooter);
   if (sum.digest() != stored) return std::nullopt;
 
   std::uint32_t kind = 0, version = 0;
@@ -211,18 +276,17 @@ std::optional<std::string> read_block(const std::string& path,
   if (kind != static_cast<std::uint32_t>(want_kind) || version != kVersion) {
     return std::nullopt;
   }
-  return content.substr(kHeader, content.size() - kHeader - 8);
+  return content;
 }
 
 }  // namespace
 
-bool write_file_atomic(const std::string& path, const std::string& content,
-                       bool sync) {
+bool write_file_atomic(const std::string& path, bool sync,
+                       const std::function<bool(std::FILE*)>& fill) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) return false;
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-            content.size();
+  bool ok = fill(f);
   ok = std::fflush(f) == 0 && ok;
 #if defined(__unix__) || defined(__APPLE__)
   if (ok && sync) ok = ::fsync(::fileno(f)) == 0;
@@ -254,29 +318,29 @@ std::string result_block_name(std::size_t job, std::size_t plan_index) {
 
 bool write_shuffle_block(const std::string& path, std::size_t consumer,
                          const engine::ShuffleOutput& so, bool sync) {
-  std::string p;
-  put_u64(p, consumer);
-  p.push_back(so.passthrough ? '\1' : '\0');
-  put_u64(p, so.num_map_tasks);
-  put_u64(p, so.total_bytes);
-  put_partitioner(p, so.partitioner.get());
-  put_pod_vec(p, so.map_node);
-  put_pod_vec(p, so.lost);
-  put_pod_vec(p, so.on_disk);
-  put_pod_vec(p, so.row_sum);
-  put_vec(p, so.rows, [](std::string& out, const engine::ShuffleRow& row) {
-    put_partition(out, row.data);
-    put_pod_vec(out, row.rec_off);
-    put_pod_vec(out, row.byte_off);
+  return write_block(path, BlockKind::kShuffle, sync, [&](BlockSink& out) {
+    put_u64(out, consumer);
+    put_char(out, so.passthrough ? '\1' : '\0');
+    put_u64(out, so.num_map_tasks);
+    put_u64(out, so.total_bytes);
+    put_partitioner(out, so.partitioner.get());
+    put_pod_vec(out, so.map_node);
+    put_pod_vec(out, so.lost);
+    put_pod_vec(out, so.on_disk);
+    put_pod_vec(out, so.row_sum);
+    put_vec(out, so.rows, [](BlockSink& o, const engine::ShuffleRow& row) {
+      put_partition(o, row.data);
+      put_pod_vec(o, row.rec_off);
+      put_pod_vec(o, row.byte_off);
+    });
   });
-  return write_block(path, BlockKind::kShuffle, p, sync);
 }
 
 std::optional<engine::RestoredShuffle> read_shuffle_block(
     const std::string& path) {
-  auto payload = read_block(path, BlockKind::kShuffle);
-  if (!payload) return std::nullopt;
-  Cursor c{*payload};
+  const auto file = read_block(path, BlockKind::kShuffle);
+  if (!file) return std::nullopt;
+  Cursor c(*file);
   engine::RestoredShuffle rs;
   rs.consumer = static_cast<std::size_t>(c.u64());
   char pass = 0;
@@ -304,31 +368,28 @@ std::optional<engine::RestoredShuffle> read_shuffle_block(
       return std::nullopt;
     }
   }
-  if (!c.ok || c.pos != payload->size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return rs;
 }
 
 bool write_cache_block(const std::string& path, std::size_t ordinal,
                        const engine::CachedDataset& cd, bool sync) {
-  std::string p;
-  put_u64(p, ordinal);
-  put_u64(p, cd.bytes);
-  put_partitioner(p, cd.partitioner.get());
-  put_pod_vec(p, cd.placement);
-  put_pod_vec(p, cd.available);
-  put_pod_vec(p, cd.sums);
-  put_vec(p, cd.partitions,
-          [](std::string& out, const engine::Partition& part) {
-            put_partition(out, part);
-          });
-  return write_block(path, BlockKind::kCache, p, sync);
+  return write_block(path, BlockKind::kCache, sync, [&](BlockSink& out) {
+    put_u64(out, ordinal);
+    put_u64(out, cd.bytes);
+    put_partitioner(out, cd.partitioner.get());
+    put_pod_vec(out, cd.placement);
+    put_pod_vec(out, cd.available);
+    put_pod_vec(out, cd.sums);
+    put_vec(out, cd.partitions, put_partition);
+  });
 }
 
 std::optional<engine::RestoredCache> read_cache_block(
     const std::string& path) {
-  auto payload = read_block(path, BlockKind::kCache);
-  if (!payload) return std::nullopt;
-  Cursor c{*payload};
+  const auto file = read_block(path, BlockKind::kCache);
+  if (!file) return std::nullopt;
+  Cursor c(*file);
   engine::RestoredCache rc;
   rc.ordinal = static_cast<std::size_t>(c.u64());
   rc.cd.bytes = c.u64();
@@ -340,31 +401,29 @@ std::optional<engine::RestoredCache> read_cache_block(
   if (!c.ok || n != rc.cd.placement.size()) return std::nullopt;
   rc.cd.partitions.resize(static_cast<std::size_t>(n));
   for (auto& part : rc.cd.partitions) part = take_partition(c);
-  if (!c.ok || c.pos != payload->size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return rc;
 }
 
 bool write_result_block(const std::string& path,
                         const std::vector<engine::Partition>& parts,
                         bool sync) {
-  std::string p;
-  put_vec(p, parts, [](std::string& out, const engine::Partition& part) {
-    put_partition(out, part);
+  return write_block(path, BlockKind::kResult, sync, [&](BlockSink& out) {
+    put_vec(out, parts, put_partition);
   });
-  return write_block(path, BlockKind::kResult, p, sync);
 }
 
 std::optional<std::vector<engine::Partition>> read_result_block(
     const std::string& path) {
-  auto payload = read_block(path, BlockKind::kResult);
-  if (!payload) return std::nullopt;
-  Cursor c{*payload};
+  const auto file = read_block(path, BlockKind::kResult);
+  if (!file) return std::nullopt;
+  Cursor c(*file);
   const std::uint64_t n = c.u64();
   std::vector<engine::Partition> parts;
   if (!c.ok) return std::nullopt;
   parts.resize(static_cast<std::size_t>(n));
   for (auto& part : parts) part = take_partition(c);
-  if (!c.ok || c.pos != payload->size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return parts;
 }
 

@@ -5,10 +5,11 @@
 //
 // Format: an 8-byte magic ("CHOPBLK1"), a 32-bit block kind, a 32-bit
 // version, the kind-specific payload, and a trailing Checksum64 digest over
-// everything before it. Files are written via write-temp+rename so a crash
-// mid-write never leaves a half-written file under the real name, and every
-// read verifies the footer — a reader either gets the exact bytes the writer
-// committed or a clean failure (nullopt), never silent garbage.
+// everything before it. Writers stream the file through one small buffer,
+// checksumming as they go, via write-temp+rename so a crash mid-write never
+// leaves a half-written file under the real name; every read verifies the
+// footer — a reader either gets the exact bytes the writer committed or a
+// clean failure (nullopt), never silent garbage.
 //
 // Scope: these are restart-local durability artifacts for the machine that
 // wrote them (fixed-width fields in native endianness), not a portable
@@ -16,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,11 +30,12 @@
 
 namespace chopper::ckpt {
 
-/// Write `content` to `path` atomically: write to `path + ".tmp"`, flush
-/// (fsync when `sync`), then rename over `path`. Returns false on IO error
-/// (the temp file is cleaned up best-effort).
-bool write_file_atomic(const std::string& path, const std::string& content,
-                       bool sync);
+/// Write `path` atomically: `fill` writes the content to `path + ".tmp"`,
+/// which is flushed (fsynced when `sync`) and renamed over `path`. Returns
+/// false when `fill` or an IO step fails (the temp file is cleaned up
+/// best-effort).
+bool write_file_atomic(const std::string& path, bool sync,
+                       const std::function<bool(std::FILE*)>& fill);
 
 // -- block file names (relative to the checkpoint directory) ----------------
 std::string shuffle_block_name(std::size_t job, std::size_t plan_index,

@@ -253,7 +253,10 @@ bool write_kv_snapshot(
   char hex[32];
   std::snprintf(hex, sizeof(hex), "#sum=%016llx\n",
                 static_cast<unsigned long long>(sum.digest()));
-  return write_file_atomic(path, body + hex, sync);
+  body += hex;
+  return write_file_atomic(path, sync, [&body](std::FILE* f) {
+    return std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  });
 }
 
 std::optional<std::vector<std::pair<std::string, std::string>>>

@@ -14,15 +14,20 @@ namespace chopper::ckpt {
 
 namespace {
 
+/// The block files one committed stage wrote, as its WAL events name them.
+struct StageBlocks {
+  /// Consumers whose shuffle this stage published, in kShuffleWrite (==
+  /// commit) order — the order adopt_restored validates against the plan.
+  std::vector<std::size_t> shuffle_consumers;
+  std::size_t cache_commits = 0;  ///< kBlockStore count (== ordinals 0..n-1)
+};
+
 /// Per-stage accumulation while scanning the WAL in seq order.
 struct StageBuild {
   bool committed = false;
   obs::Event end;  ///< the kStageEnd record
   std::vector<engine::TaskMetrics> tasks;
-  /// Consumers whose shuffle this stage published, in kShuffleWrite (==
-  /// commit) order — the order adopt_restored validates against the plan.
-  std::vector<std::size_t> shuffle_consumers;
-  std::size_t cache_commits = 0;  ///< kBlockStore count (== ordinals 0..n-1)
+  StageBlocks blocks;
 };
 
 struct JobBuild {
@@ -36,6 +41,36 @@ struct JobBuild {
   /// Task spans buffered per global stage id until the kStageEnd arrives.
   std::unordered_map<std::uint64_t, std::vector<engine::TaskMetrics>> spans;
 };
+
+/// Read and checksum job `jid`'s committed blocks into `stages`, one
+/// StageBlocks per stage; false on the first missing or corrupt block.
+bool load_blocks(const std::string& dir, std::size_t jid,
+                 const std::vector<StageBlocks>& blocks,
+                 std::vector<engine::StageRestore>& stages) {
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    engine::StageRestore& sr = stages[s];
+    for (const std::size_t consumer : blocks[s].shuffle_consumers) {
+      auto rs =
+          read_shuffle_block(dir + "/" + shuffle_block_name(jid, s, consumer));
+      if (!rs || rs->consumer != consumer) return false;
+      sr.shuffles.push_back(std::move(*rs));
+    }
+    for (std::size_t ord = 0; ord < blocks[s].cache_commits; ++ord) {
+      auto rc = read_cache_block(dir + "/" + cache_block_name(jid, s, ord));
+      if (!rc || rc->ordinal != ord) return false;
+      sr.caches.push_back(std::move(*rc));
+    }
+    const std::string rpath = dir + "/" + result_block_name(jid, s);
+    std::error_code ec;
+    if (std::filesystem::exists(rpath, ec)) {
+      auto parts = read_result_block(rpath);
+      if (!parts) return false;
+      sr.has_result = true;
+      sr.result_parts = std::move(*parts);
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -78,7 +113,7 @@ ResumePlan build_resume_plan(const std::string& dir) {
         const auto it = jb.stage_to_plan.find(e.stage);
         if (it != jb.stage_to_plan.end()) {
           // e.plan_index of a kShuffleWrite is the CONSUMING stage.
-          jb.stages[it->second].shuffle_consumers.push_back(
+          jb.stages[it->second].blocks.shuffle_consumers.push_back(
               static_cast<std::size_t>(e.plan_index));
         }
         ++jb.events;
@@ -87,7 +122,9 @@ ResumePlan build_resume_plan(const std::string& dir) {
       case obs::EventKind::kBlockStore: {
         JobBuild& jb = jobs[jid];
         const auto it = jb.stage_to_plan.find(e.stage);
-        if (it != jb.stage_to_plan.end()) ++jb.stages[it->second].cache_commits;
+        if (it != jb.stage_to_plan.end()) {
+          ++jb.stages[it->second].blocks.cache_commits;
+        }
         ++jb.events;
         break;
       }
@@ -127,61 +164,21 @@ ResumePlan build_resume_plan(const std::string& dir) {
       ++k;
     }
 
+    std::vector<StageBlocks> blocks;
     for (std::size_t s = 0; s < k; ++s) {
       StageBuild& sb = jb.stages[s];
-      engine::StageRestore sr;
-      sr.row = obs::stage_from_event(sb.end, std::move(sb.tasks));
-      bool ok = true;
-      for (const std::size_t consumer : sb.shuffle_consumers) {
-        auto rs = read_shuffle_block(dir + "/" +
-                                     shuffle_block_name(jid, s, consumer));
-        if (!rs || rs->consumer != consumer) {
-          ok = false;
-          break;
-        }
-        jr.restored_bytes += rs->so.total_bytes;
-        sr.shuffles.push_back(std::move(*rs));
-      }
-      for (std::size_t ord = 0; ok && ord < sb.cache_commits; ++ord) {
-        auto rc = read_cache_block(dir + "/" + cache_block_name(jid, s, ord));
-        if (!rc || rc->ordinal != ord) {
-          ok = false;
-          break;
-        }
-        jr.restored_bytes += rc->cd.bytes;
-        sr.caches.push_back(std::move(*rc));
-      }
-      if (ok) {
-        const std::string rpath = dir + "/" + result_block_name(jid, s);
-        std::error_code ec;
-        if (std::filesystem::exists(rpath, ec)) {
-          auto parts = read_result_block(rpath);
-          if (!parts) {
-            ok = false;
-          } else {
-            sr.has_result = true;
-            for (const auto& part : *parts) jr.restored_bytes += part.bytes();
-            sr.result_parts = std::move(*parts);
-          }
-        }
-      }
-      if (!ok) {
-        // A committed line whose payload cannot be restored: fall back to
-        // full deterministic re-execution of the whole job (bit-identical
-        // by the determinism contract), never a partial adoption.
-        jr.full_rerun = true;
-        jr.stages.clear();
-        jr.restored_bytes = 0;
-        break;
-      }
-      jr.stages.push_back(std::move(sr));
+      jr.stages.emplace_back().row =
+          obs::stage_from_event(sb.end, std::move(sb.tasks));
+      blocks.push_back(std::move(sb.blocks));
     }
+    jr.load = [dir, jid, blocks = std::move(blocks)](
+                  std::vector<engine::StageRestore>& stages) {
+      return load_blocks(dir, jid, blocks, stages);
+    };
 
-    plan.restored_bytes += jr.restored_bytes;
-    plan.committed_stages += jr.stages.size();
+    plan.committed_stages += k;
     if (jb.finished) ++plan.finished_jobs;
-    plan.jobs.push_back(JobRecovery{jid, jb.name, jr.stages.size(),
-                                    jb.finished, jr.full_rerun});
+    plan.jobs.push_back(JobRecovery{jid, jb.name, k, jb.finished});
   }
   return plan;
 }

@@ -4,13 +4,17 @@
 // The planner applies the commit rule (a stage is committed iff its complete
 // kStageEnd line is durable): for every job in the log it reconstructs the
 // contiguous committed-stage prefix — kStageEnd rows plus their buffered
-// kTaskSpan events, bit-exact via obs::stage_from_event — and loads the
-// stage's block files (shuffles in kShuffleWrite order, caches in kBlockStore
-// order, the result file when present). A torn final line is the normal
-// post-crash state and is tolerated; any missing or checksum-failing block
-// file flips that job to `full_rerun`, which the engine executes
-// deterministically for a bit-identical outcome. The planner never guesses:
-// a job either adopts a provably clean prefix or re-runs from scratch.
+// kTaskSpan events, bit-exact via obs::stage_from_event — and records which
+// block files each stage committed (shuffles in kShuffleWrite order, caches
+// in kBlockStore order, the result file when present). It opens no block
+// file: the ledger entry's loader reads and checksums a job's blocks when
+// that job adopts its prefix, so a resume that adopts nothing (a served
+// job, a finished job that is only re-admitted) reads none. A torn final
+// line is the normal post-crash state and is tolerated; a missing or
+// checksum-failing block makes the loader fail, and the engine re-executes
+// that job deterministically for a bit-identical outcome. Nothing is
+// guessed: a job either adopts a provably clean prefix or re-runs from
+// scratch.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +30,8 @@ namespace chopper::ckpt {
 struct JobRecovery {
   std::size_t job_id = 0;
   std::string name;
-  std::size_t committed_stages = 0;  ///< adopted prefix length
+  std::size_t committed_stages = 0;  ///< committed prefix length in the WAL
   bool finished = false;             ///< kJobFinish durable: pure replay
-  bool full_rerun = false;           ///< block loss: deterministic re-execution
 };
 
 struct ResumePlan {
@@ -40,7 +43,6 @@ struct ResumePlan {
   std::size_t skipped_lines = 0;
   std::size_t committed_stages = 0;  ///< across all jobs
   std::size_t finished_jobs = 0;
-  std::uint64_t restored_bytes = 0;  ///< block payload bytes loaded
   std::vector<JobRecovery> jobs;
 };
 

@@ -1,7 +1,8 @@
 // Checkpoint resume (DESIGN.md §16): a job adopts the committed-stage prefix
-// its ResumeLedger entry restored from the write-ahead log instead of
-// executing it. A validation pass rejects anything that is not provably a
-// clean prefix of this job's plan; the adoption pass then commits each
+// its ResumeLedger entry decoded from the write-ahead log instead of
+// executing it. The entry's loader reads the prefix's payloads first; a
+// validation pass rejects anything that is not provably a clean prefix of
+// this job's plan; the adoption pass then commits each
 // restored stage through the same helpers an executed stage commits with
 // (scheduler.cc), so the engine state and the event log it leaves behind
 // equal an uninterrupted run's.
@@ -26,9 +27,12 @@ std::size_t JobRunner::adopt_restored() {
   auto& jobs = eng_.resume_ledger_->jobs;
   if (ctx_.job_id >= jobs.size()) return 0;
   JobResume& jr = jobs[ctx_.job_id];
-  if (jr.full_rerun || jr.stages.empty()) return 0;
+  if (jr.stages.empty()) return 0;
   if (jr.stages.size() > ctx_.plan.stages.size()) return 0;
   const std::size_t k = jr.stages.size();
+  // Read the prefix's payloads only now that this job may adopt them. A
+  // missing or corrupt block re-executes the job from stage 0.
+  if (!jr.load || !jr.load(jr.stages)) return 0;
 
   // ---- validation pass (no engine mutation) ------------------------------
   // Reject anything that is not provably a clean prefix of THIS plan; the

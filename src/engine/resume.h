@@ -1,24 +1,28 @@
 // Checkpoint/resume contract between the engine and the durability layer
 // (src/ckpt, DESIGN.md §16). The engine knows nothing about files: at commit
 // time it hands the just-published payloads to a CheckpointHook, and at
-// submit time it consumes a ResumeLedger of already-decoded committed-stage
-// state that a resume planner built from a write-ahead log.
+// submit time it consumes a ResumeLedger that a resume planner decoded from
+// a write-ahead log: each job's committed rows, plus a loader that reads and
+// checks the prefix's payloads (block files) on demand.
 //
-// Adoption semantics (adoption.cc, JobRunner::adopt_restored): a job whose
-// ledger entry carries a *clean* committed prefix — attempt_count 1
-// everywhere, no OOM / checksum / exclusion / recovery activity, and an
-// engine in neither retained-data mode (no enforced memory, no fault plan
-// entry but task retries) — re-registers each
-// restored stage's shuffle outputs, cached blocks and result partitions,
-// re-emits its event history, replays its metrics rows, fast-forwards the
-// virtual clock, and continues execution at the first uncommitted stage.
-// Anything dirtier sets `full_rerun`: the job re-executes from scratch,
-// which is bit-identical to the original run by the engine's determinism
-// contract (bench/chaos_fuzz), so resume never trades correctness for
-// speed — it only skips work when skipping is provably equivalent.
+// Adoption semantics (adoption.cc, JobRunner::adopt_restored): a job that
+// may adopt — single-job mode, an engine in neither retained-data mode (no
+// enforced memory, no fault plan entry but task retries), a ledger entry
+// whose prefix fits the plan — calls its entry's loader, so a job that does
+// not adopt reads no payload. If the loader succeeds and the prefix is
+// *clean* — attempt_count 1 everywhere, no OOM / checksum / exclusion /
+// recovery activity — the job re-registers each restored stage's shuffle
+// outputs, cached blocks and result partitions, re-emits its event history,
+// replays its metrics rows, fast-forwards the virtual clock, and continues
+// execution at the first uncommitted stage. Anything else, a missing or
+// corrupt block included, re-executes the job from scratch, which is
+// bit-identical to the original run by the engine's determinism contract
+// (bench/chaos_fuzz), so resume never trades correctness for speed — it
+// only skips work when skipping is provably equivalent.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "engine/block_manager.h"
@@ -66,7 +70,8 @@ struct RestoredCache {
   CachedDataset cd;
 };
 
-/// Everything the WAL + block files recorded about one committed stage.
+/// Everything the WAL + block files recorded about one committed stage. The
+/// planner decodes `row`; JobResume::load fills the payloads.
 struct StageRestore {
   StageMetrics row;  ///< decoded kStageEnd + kTaskSpan events, bit-exact
   std::vector<RestoredShuffle> shuffles;
@@ -78,12 +83,12 @@ struct StageRestore {
 /// Resume state for one job, keyed by the job's engine-assigned id (a
 /// deterministic driver re-runs the same job sequence, so ids line up).
 struct JobResume {
-  /// The committed prefix was not clean (retries, OOMs, recovery, missing or
-  /// corrupt block files): adopt nothing and deterministically re-execute.
-  bool full_rerun = false;
   std::vector<StageRestore> stages;  ///< committed prefix, plan order
   std::uint64_t replayed_events = 0;
-  std::uint64_t restored_bytes = 0;  ///< block-file payload bytes loaded
+  /// Reads the prefix's payloads into `stages`; false when one is missing or
+  /// fails its check. adopt_restored calls it once, only when the job may
+  /// adopt, and re-executes the job from stage 0 when it fails.
+  std::function<bool(std::vector<StageRestore>&)> load;
 };
 
 /// Per-engine resume state: jobs[i] feeds the job that draws id i. Jobs

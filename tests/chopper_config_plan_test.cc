@@ -11,7 +11,9 @@ PlannedStage planned(std::uint64_t sig, engine::PartitionerKind kind,
                      std::size_t p, bool repartition = false) {
   PlannedStage ps;
   ps.signature = sig;
-  ps.name = "s" + std::to_string(sig);
+  std::string name = "s";
+  name += std::to_string(sig);
+  ps.name = std::move(name);
   ps.partitioner = kind;
   ps.num_partitions = p;
   ps.insert_repartition = repartition;

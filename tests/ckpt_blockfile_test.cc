@@ -174,6 +174,31 @@ TEST(CkptBlockfile, CacheRoundTrip) {
   EXPECT_EQ(back->cd.sums, cd.sums);
 }
 
+// Writers stream through a 64 KiB buffer: files that end just short of it,
+// just past one or two buffers, or mid-lane (not a multiple of 8 bytes)
+// round-trip, and the footer is Checksum64 over every byte before it.
+TEST(CkptBlockfile, StreamedBlocksStraddleTheBuffer) {
+  const std::string path = temp_path("streamed.blk");
+  // A result block of one n-record partition is 72 + 36 n bytes.
+  for (const std::size_t n : {1, 1817, 1818, 1819, 3641}) {
+    SCOPED_TRACE("records " + std::to_string(n));
+    const std::vector<engine::Partition> parts = {make_part(9, n)};
+    ASSERT_TRUE(ckpt::write_result_block(path, parts, /*sync=*/false));
+    const std::string bytes = slurp(path);
+    ASSERT_EQ(bytes.size(), 72 + 36 * n);
+    common::Checksum64 sum;
+    sum.update_bytes(bytes.data(), bytes.size() - 8);
+    std::uint64_t footer = 0;
+    std::memcpy(&footer, bytes.data() + bytes.size() - 8, 8);
+    EXPECT_EQ(footer, sum.digest());
+
+    const auto back = ckpt::read_result_block(path);
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(back->size(), 1u);
+    EXPECT_EQ(rows(back->front()), rows(parts.front()));
+  }
+}
+
 TEST(CkptBlockfile, AtomicWriteLeavesNoTempFile) {
   const std::string path = temp_path("atomic.blk");
   ASSERT_TRUE(

@@ -1,6 +1,7 @@
 // Crash-resume edge cases (src/ckpt + engine adoption path, DESIGN.md §16):
-// crash during stage 0, crash after the final stage (pure replay), crash
-// mid-OOM-retry (retained fault plans force a full deterministic rerun), and
+// crash during stage 0, crash after the final stage (pure replay), a corrupt
+// or missing block (only its job re-runs), crash mid-OOM-retry (retained
+// fault plans force a full deterministic rerun), and
 // double-resume idempotence (a second crash during a resumed run resumes
 // from the new, self-contained WAL epoch). Every resumed run must reproduce
 // the uninterrupted reference bit-for-bit: same collected rows, same counts,
@@ -12,11 +13,14 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "ckpt/blockfile.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/resume.h"
 #include "engine/engine.h"
@@ -149,6 +153,7 @@ struct DriveOut {
   std::uint64_t tail_count = 0;
   std::vector<engine::Record> rows;  ///< agg output, sorted
   std::size_t resumed_stages = 0;
+  std::map<std::string, std::size_t> resumed_by_job;  ///< job name -> stages
   std::uint64_t replayed_events = 0;
   std::uint64_t restored_bytes = 0;
   std::uint64_t barriers = 0;
@@ -188,6 +193,7 @@ DriveOut drive(const std::string& dir, const engine::EngineOptions& opts,
             });
   for (const auto& j : eng.metrics().jobs()) {
     out.resumed_stages += j.resumed_stages;
+    out.resumed_by_job[j.name] = j.resumed_stages;
     out.replayed_events += j.replayed_events;
     out.restored_bytes += j.restored_bytes;
   }
@@ -255,6 +261,53 @@ TEST(CkptResume, CrashAfterFinalStageIsPureReplay) {
   for (const auto& j : plan.jobs) total_stages += j.committed_stages;
   EXPECT_EQ(resumed.resumed_stages, total_stages);
   expect_same_outcome(resumed, ref);
+}
+
+// Blocks are read and checked by the job that adopts them, so a damaged
+// block costs only its own job: ck-agg (job 1) re-executes from stage 0
+// while ck-warm and ck-tail still adopt their committed stages.
+TEST(CkptResume, CorruptBlockRerunsOnlyItsJob) {
+  const DriveOut ref = reference(temp_dir("res_ref_blk"), small_options());
+  ASSERT_GT(ref.barriers, 0u);
+  // ck-agg's stage 0 shuffle for stage 1, and its stage 1 result.
+  for (const std::string& name : {ckpt::shuffle_block_name(1, 0, 1),
+                                  ckpt::result_block_name(1, 1)}) {
+    for (const bool remove : {false, true}) {
+      SCOPED_TRACE(name + (remove ? " deleted" : " with a byte flipped"));
+      const std::string dir = temp_dir("res_blk");
+      ckpt::CrashSchedule cs;
+      cs.at_stage_barrier = static_cast<std::int64_t>(ref.barriers - 1);
+      cs.after_barrier_flush = true;
+      ASSERT_TRUE(drive(dir, small_options(), cs, nullptr).crashed);
+
+      const std::string blk = dir + "/" + name;
+      ASSERT_TRUE(fs::exists(blk));
+      if (remove) {
+        fs::remove(blk);
+      } else {
+        // The last payload byte, just before the 8-byte footer. In the
+        // result block it belongs to a value that decodes cleanly either
+        // way, so only the checksum can refuse it.
+        std::fstream f(blk, std::ios::in | std::ios::out | std::ios::binary);
+        const auto at = static_cast<std::streamoff>(fs::file_size(blk) - 9);
+        char b = 0;
+        f.seekg(at);
+        f.get(b);
+        f.seekp(at);
+        f.put(static_cast<char>(b ^ 0x40));
+      }
+
+      ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
+      EXPECT_EQ(plan.finished_jobs, 3u);
+      const DriveOut resumed = drive(dir, small_options(), {}, &plan.ledger);
+      EXPECT_FALSE(resumed.crashed);
+      EXPECT_EQ(resumed.resumed_by_job.at("ck-agg"), 0u);
+      EXPECT_GT(resumed.resumed_by_job.at("ck-warm"), 0u);
+      EXPECT_GT(resumed.resumed_by_job.at("ck-tail"), 0u);
+      expect_same_outcome(resumed, ref);
+      fs::remove_all(dir);
+    }
+  }
 }
 
 TEST(CkptResume, CrashMidOomRetryForcesFullRerun) {

@@ -1,7 +1,8 @@
 // Checkpointing under the multi-tenant job service (TSan lane, DESIGN.md
 // §16): many concurrent server threads funnel events and block commits
 // through one CheckpointWriter, and the resulting WAL must decode into a
-// resume plan that accounts for every finished job. Also pins down the
+// resume plan that accounts for every finished job, with every block
+// passing its checksum when read back. Also pins down the
 // admit_completed() re-admission contract the resume path of `chopperctl
 // serve --checkpoint` relies on.
 #include <gtest/gtest.h>
@@ -45,7 +46,8 @@ engine::SourceFn iota_source(std::size_t total) {
 
 /// One shuffle job per tenant; distinct labels keep lineages separate.
 engine::DatasetPtr tenant_job(std::size_t tenant) {
-  const std::string tag = "#" + std::to_string(tenant);
+  std::string tag = "#";
+  tag += std::to_string(tenant);
   return engine::Dataset::source("ckpt-svc" + tag, 4, iota_source(1200))
       ->map("mod" + tag,
             [tenant](const engine::Record& r) {
@@ -98,13 +100,21 @@ TEST(CkptService, ConcurrentServeWritesAResumableWal) {
 
   // The WAL written under full concurrency must decode cleanly and account
   // for every job that finished.
-  const ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
+  ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
   EXPECT_EQ(plan.finished_jobs, kJobs);
   EXPECT_EQ(plan.jobs.size(), kJobs);
   EXPECT_GT(plan.committed_stages, 0u);
   EXPECT_EQ(plan.torn_tail_lines, 0u);
   EXPECT_EQ(plan.skipped_lines, 0u);
   for (const auto& j : plan.jobs) EXPECT_TRUE(j.finished);
+  // The blocks the concurrent jobs streamed all pass their checksums: every
+  // job's loader reads its committed prefix back, result included.
+  for (auto& jr : plan.ledger.jobs) {
+    ASSERT_FALSE(jr.stages.empty());
+    ASSERT_TRUE(jr.load);
+    EXPECT_TRUE(jr.load(jr.stages));
+    EXPECT_TRUE(jr.stages.back().has_result);
+  }
 }
 
 TEST(CkptService, AdmitCompletedReplaysAFinishedJob) {

@@ -38,7 +38,8 @@ engine::SourceFn iota_source(std::size_t total) {
 
 /// One shuffle job per tenant; distinct labels keep the lineages separate.
 engine::DatasetPtr tenant_job(std::size_t tenant) {
-  const std::string tag = "#" + std::to_string(tenant);
+  std::string tag = "#";
+  tag += std::to_string(tenant);
   return engine::Dataset::source("events" + tag, 4, iota_source(1500))
       ->map("mod" + tag,
             [tenant](const engine::Record& r) {
@@ -77,7 +78,8 @@ TEST(ObsConcurrent, ServeEmitsTotallyOrderedReplayableLog) {
   std::vector<service::JobHandle> handles;
   for (std::size_t i = 0; i < kJobs; ++i) {
     service::SubmitOptions so;
-    so.name = "tenant-" + std::to_string(i);
+    so.name = "tenant-";
+    so.name += std::to_string(i);
     so.pool = (i % 2 == 0) ? "a" : "b";
     handles.push_back(server.submit(tenant_job(i), so));
   }

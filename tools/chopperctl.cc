@@ -1039,18 +1039,15 @@ int cmd_resume(const Args& args) {
   ckpt::ResumePlan plan = ckpt::build_resume_plan(dir);
   std::printf(
       "resume plan: wal epoch %zu, %zu events (%zu torn, %zu skipped), "
-      "%zu committed stage(s), %zu finished job(s), %.1f KB restorable\n",
+      "%zu committed stage(s), %zu finished job(s)\n",
       plan.wal_epoch, plan.events, plan.torn_tail_lines, plan.skipped_lines,
-      plan.committed_stages, plan.finished_jobs,
-      static_cast<double>(plan.restored_bytes) / 1024.0);
+      plan.committed_stages, plan.finished_jobs);
   if (!plan.jobs.empty()) {
     bench::Table pt({"job", "name", "committed", "recovery"});
     for (const auto& j : plan.jobs) {
       pt.add_row({std::to_string(j.job_id), j.name,
                   std::to_string(j.committed_stages),
-                  j.finished      ? "replay (finished)"
-                  : j.full_rerun  ? "full re-run"
-                                  : "adopt + continue"});
+                  j.finished ? "replay (finished)" : "adopt + continue"});
     }
     pt.print();
   }
