@@ -182,8 +182,9 @@ void acceptance_demo() {
     return;
   }
   std::printf("CHOPPER plan: load stage P=%zu with memory-feasibility floor "
-              "p_min=%zu learned from the OOM at P=60\n",
-              planned->num_partitions, planned->p_min);
+              "p_min=%zu learned from the OOM at P=60 and the commit at "
+              "P=%zu\n",
+              planned->num_partitions, planned->p_min, grown.num_partitions);
 
   // make_engine() would reuse the profiling options; deploy with
   // enforcement on instead (same starved cluster).

@@ -176,15 +176,14 @@ CacheDecision CachePlanner::score_locked(std::uint64_t signature,
   return d;
 }
 
-void CachePlanner::emit_locked(const CacheDecision& d, bool rescored) {
+void CachePlanner::emit_locked(const CacheDecision& d) {
   if (event_log_ == nullptr || !event_log_->enabled()) return;
   obs::Event ev;
   ev.kind = obs::EventKind::kCachePlanDecision;
   ev.dataset = d.dataset_id;
   ev.signature = d.signature;
   ev.name = d.name;
-  ev.detail = rescored ? std::string("rescore/") + to_string(d.action)
-                       : std::string(to_string(d.action));
+  ev.detail = to_string(d.action);
   ev.value = d.priority;
   ev.value2 = d.rebuild_cost;
   ev.count = static_cast<std::uint64_t>(std::llround(d.expected_reuse));
@@ -224,8 +223,9 @@ engine::CachePlanSnapshot CachePlanner::advise(const engine::JobPlan& plan,
       if (materializing) {
         c.sig = s.signature;
       } else if (c.sig == 0) {
-        if (const auto k = known_.find(d->id()); k != known_.end()) {
-          c.sig = k->second.signature;
+        if (const auto k = known_signatures_.find(d->id());
+            k != known_signatures_.end()) {
+          c.sig = k->second;
         }
       }
     };
@@ -243,34 +243,13 @@ engine::CachePlanSnapshot CachePlanner::advise(const engine::JobPlan& plan,
     d.dataset_id = id;
     d.name = c.d->label();
     d.pool = pool;
-    known_[id] = Known{c.sig, d.name, pool, in_plan, rebuild};
-    emit_locked(d, /*rescored=*/false);
+    known_signatures_[id] = c.sig;
+    emit_locked(d);
     ++decisions_made_;
     result.decisions.push_back(std::move(d));
   }
   last_ = result;
   return result.to_snapshot();
-}
-
-void CachePlanner::rescore(engine::BlockManager& bm) {
-  engine::CachePlanSnapshot snap;
-  {
-    std::lock_guard lock(mu_);
-    snap.pool_share = pool_shares_;
-    for (const auto& [id, k] : known_) {
-      CacheDecision d = score_locked(k.signature, k.rebuild, k.in_plan_reads);
-      d.dataset_id = id;
-      d.name = k.name;
-      d.pool = k.pool;
-      engine::CacheGuidance g;
-      g.priority = d.priority;
-      g.pinned = d.action == CacheAction::kPin;
-      g.pool = d.pool;
-      snap.guidance[id] = g;
-      emit_locked(d, /*rescored=*/true);
-    }
-  }
-  bm.merge_cache_plan(snap);
 }
 
 CachePlan CachePlanner::last_plan() const {

@@ -35,17 +35,11 @@
 // scans cannot flush another tenant's hot iterative caches below the
 // victim pool's floor.
 //
-// Adaptive integration: rescore() re-prices every previously scored dataset
-// against the refitted WorkloadDb and merges the updated priorities into the
-// live BlockManager — hook it to AdaptiveController::set_refit_listener so
-// priorities track the models at the same stage barriers that refit them.
-//
-// Threading: advise() and rescore() are mutex-guarded and may race each
-// other. The WorkloadDb pointer is NOT synchronized against its writers —
-// attach a db only when planning cannot race db mutation (single-driver
-// runs; the adaptive controller folds observations at stage barriers of the
-// same driver thread). Concurrent service wiring should plan structurally
-// (no db), which touches no shared mutable state outside the planner.
+// Threading: advise() is mutex-guarded. The WorkloadDb pointer is NOT
+// synchronized against its writers — attach a db only when planning cannot
+// race db mutation (e.g. a single-driver run that ingests between runs).
+// Concurrent service wiring should plan structurally (no db), which touches
+// no shared mutable state outside the planner.
 #pragma once
 
 #include <cstdint>
@@ -133,31 +127,16 @@ class CachePlanner final : public engine::CacheAdvisor {
   engine::CachePlanSnapshot advise(const engine::JobPlan& plan,
                                    const std::string& job_name) override;
 
-  /// Re-price every previously scored dataset against the current
-  /// WorkloadDb and merge the refreshed snapshot into `bm`. Wire to
-  /// AdaptiveController::set_refit_listener.
-  void rescore(engine::BlockManager& bm);
-
   /// Snapshot of the most recent advise() result.
   CachePlan last_plan() const;
-  /// Total decisions scored over the planner's lifetime (rescores excluded).
+  /// Total decisions scored over the planner's lifetime.
   std::size_t decisions_made() const;
 
  private:
-  /// Sticky facts about a dataset we scored before, for rescoring and for
-  /// cache-read stages whose producing stage was planned in an earlier job.
-  struct Known {
-    std::uint64_t signature = 0;
-    std::string name;
-    std::string pool;
-    double in_plan_reads = 0.0;
-    double rebuild = 0.0;
-  };
-
   /// Score one candidate. Caller holds mu_.
   CacheDecision score_locked(std::uint64_t signature, double rebuild,
                              double in_plan_reads) const;
-  void emit_locked(const CacheDecision& d, bool rescored);
+  void emit_locked(const CacheDecision& d);
 
   mutable std::mutex mu_;
   const CachePlannerOptions opts_;
@@ -167,7 +146,9 @@ class CachePlanner final : public engine::CacheAdvisor {
   std::map<std::string, std::string> job_pools_;
   obs::EventLog* event_log_ = nullptr;  ///< not owned; may be null
   CachePlan last_;
-  std::map<std::size_t, Known> known_;
+  /// Producing-stage signature of every dataset scored so far, for
+  /// cache-read stages whose producer was planned in an earlier job.
+  std::map<std::size_t, std::uint64_t> known_signatures_;
   std::size_t decisions_made_ = 0;
 };
 

@@ -57,10 +57,11 @@ double Chopper::profile(const std::string& workload,
   return input_bytes;
 }
 
-void Chopper::ingest_run(const engine::MetricsRegistry& metrics,
-                         const std::string& workload,
-                         double workload_input_bytes, bool is_default) {
-  collector_.ingest(metrics, workload, workload_input_bytes, is_default);
+double Chopper::ingest_run(const engine::MetricsRegistry& metrics,
+                           const std::string& workload,
+                           double workload_input_bytes, bool is_default) {
+  return collector_.ingest(metrics, workload, workload_input_bytes,
+                           is_default);
 }
 
 std::vector<PlannedStage> Chopper::plan(const std::string& workload,
@@ -71,21 +72,6 @@ std::vector<PlannedStage> Chopper::plan(const std::string& workload,
 std::vector<PlannedStage> Chopper::plan_naive(const std::string& workload,
                                               double input_bytes) {
   return optimizer_.get_workload_par(workload, input_bytes);
-}
-
-Chopper::ReplanResult Chopper::replan(const std::string& workload,
-                                      double input_bytes,
-                                      std::size_t max_stages) {
-  ReplanResult result;
-  const std::size_t stages = db_.dag(workload).size();
-  if (stages == 0 || stages > max_stages) {
-    LOG_DEBUG << "chopper: replan of " << workload << " skipped (" << stages
-              << " stages, bound " << max_stages << ")";
-    return result;
-  }
-  result.plan = optimizer_.get_global_par(workload, input_bytes);
-  result.swept = true;
-  return result;
 }
 
 namespace {

@@ -55,29 +55,18 @@ class Chopper {
                  double scale = 1.0);
 
   /// Ingest a single already-executed run (e.g. a production run whose
-  /// statistics should refine the models).
-  void ingest_run(const engine::MetricsRegistry& metrics,
-                  const std::string& workload, double workload_input_bytes,
-                  bool is_default);
+  /// statistics should refine the models). This is the one feedback path
+  /// from execution to planning: ingest a run, plan() again and hand the
+  /// new config to ConfigPlanProvider::update before the next run (tune()
+  /// is its loop form). `workload_input_bytes` 0 measures the run's source
+  /// input; returns the workload input size used.
+  double ingest_run(const engine::MetricsRegistry& metrics,
+                    const std::string& workload, double workload_input_bytes,
+                    bool is_default);
 
   /// Algorithm 3 plan for the given input size.
   std::vector<PlannedStage> plan(const std::string& workload,
                                  double input_bytes);
-
-  struct ReplanResult {
-    std::vector<PlannedStage> plan;
-    /// False when the workload's DAG exceeded `max_stages` and the sweep was
-    /// skipped (plan empty) — the bound that keeps mid-run re-planning from
-    /// stalling a stage barrier on a huge DAG.
-    bool swept = false;
-  };
-
-  /// Bounded Algorithm-3 re-sweep for in-flight adaptation (src/adapt): same
-  /// plan as plan(), but refuses to sweep DAGs larger than `max_stages`.
-  /// Models are lazily refit from whatever observations arrived since the
-  /// last sweep (see WorkloadDb::model's incremental-refit contract).
-  ReplanResult replan(const std::string& workload, double input_bytes,
-                      std::size_t max_stages);
 
   struct TuneResult {
     std::vector<PlannedStage> plan;

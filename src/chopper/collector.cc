@@ -20,16 +20,18 @@ void ingest_stage(WorkloadDb& db, const std::string& workload,
   db.add(std::move(o));
 
   // Every OOMed attempt proves its partition count infeasible at this
-  // stage's input size — the optimizer turns these into a feasibility
-  // floor (min_feasible_partitions). The stage's total input is invariant
-  // under repartition, so the final attempt's input_bytes stands in for
-  // the failed attempts' D.
+  // stage's input size, and the count the stage finally committed at proves
+  // itself feasible — the optimizer turns both into a feasibility floor
+  // (min_feasible_partitions). The stage's total input is invariant under
+  // repartition, so the final attempt's input_bytes stands in for the
+  // failed attempts' D.
   for (const std::size_t p : s.oomed_partition_counts) {
     OomRecord r;
     r.workload = workload;
     r.signature = s.signature;
     r.stage_input_bytes = static_cast<double>(s.input_bytes);
     r.num_partitions = static_cast<double>(p);
+    r.committed_partitions = static_cast<double>(s.num_partitions);
     db.add_oom(std::move(r));
   }
 

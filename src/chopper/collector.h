@@ -17,7 +17,7 @@ namespace chopper::core {
 /// Fold one committed stage row into `db`: its Observation, one OomRecord
 /// per OOMed attempt, a FaultRecord when transient faults fired, and its
 /// StageStructure. StatsCollector::ingest runs this for every stage of a
-/// finished run; the online controller (src/adapt) for every kStageEnd.
+/// finished run (live, or replayed from an event log by HistoryReader).
 void ingest_stage(WorkloadDb& db, const std::string& workload,
                   const engine::StageMetrics& s, double workload_input_bytes,
                   bool is_default);

@@ -19,6 +19,8 @@ struct Observation {
   double t_exe_s = 0.0;               ///< stage execution time
   double shuffle_bytes = 0.0;         ///< max(shuffle read, shuffle write)
   bool is_default = false;  ///< observed under the default-parallelism config
+
+  bool operator==(const Observation&) const = default;
 };
 
 }  // namespace chopper::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,11 +66,10 @@ std::vector<Observation> WorkloadDb::observations(
 namespace {
 /// Canonical total order over a model's training set. Sorting before the fit
 /// makes the float summation order a function of the observation *set*, not
-/// of ingest history — so an incremental refit mid-run (observations arriving
-/// one stage at a time, model() called between arrivals) produces
-/// coefficients bit-identical to an offline fit over the same observations,
-/// in any ingest order. The adaptive controller's replay/bit-identity
-/// guarantees (DESIGN.md §15) rest on this.
+/// of ingest history — so an incremental refit (observations arriving one
+/// run at a time, model() called between arrivals) produces coefficients
+/// bit-identical to an offline fit over the same observations, in any
+/// ingest order.
 bool canonical_less(const Observation& a, const Observation& b) {
   if (a.workload_input_bytes != b.workload_input_bytes) {
     return a.workload_input_bytes < b.workload_input_bytes;
@@ -226,21 +226,33 @@ std::pair<double, double> WorkloadDb::observed_input_range(
 std::size_t WorkloadDb::min_feasible_partitions(const std::string& workload,
                                                 std::uint64_t signature,
                                                 double stage_input_bytes) const {
+  if (stage_input_bytes <= 0.0) return 0;
   // The tightest proven-infeasible per-task slice: the smallest D_o / P_o
-  // among recorded OOMs of this stage. (Smaller slices than observed ones
-  // may still fit; larger ones certainly do not.)
+  // among recorded OOMs of this stage (smaller slices than observed ones may
+  // still fit; larger ones certainly do not), and the largest count proven
+  // feasible, scaled to the queried input.
   double bad_slice = 0.0;
+  std::size_t proven = 0;
   for (const auto& r : oom_records_) {
     if (r.workload != workload || r.signature != signature) continue;
     if (r.num_partitions <= 0.0 || r.stage_input_bytes <= 0.0) continue;
     const double slice = r.stage_input_bytes / r.num_partitions;
     if (bad_slice == 0.0 || slice < bad_slice) bad_slice = slice;
+    const double committed = std::ceil(
+        r.committed_partitions * (stage_input_bytes / r.stage_input_bytes));
+    proven = std::max(proven, static_cast<std::size_t>(committed));
   }
-  if (bad_slice == 0.0 || stage_input_bytes <= 0.0) return 0;
-  // Smallest P with D / P strictly below the infeasible slice.
-  return static_cast<std::size_t>(
-             std::floor(stage_input_bytes / bad_slice)) +
-         1;
+  if (bad_slice == 0.0) return 0;
+  // Smallest P with D / P strictly below the infeasible slice. The estimate
+  // floor(D / slice) + 1 can round onto the very P that OOMed (D / (D / P)
+  // may come out just below P), so settle it on the comparison itself.
+  auto p = static_cast<std::size_t>(
+      std::max(1.0, std::floor(stage_input_bytes / bad_slice)));
+  while (stage_input_bytes / static_cast<double>(p) >= bad_slice) ++p;
+  while (p > 1 && stage_input_bytes / static_cast<double>(p - 1) < bad_slice) {
+    --p;
+  }
+  return std::max(p, proven);
 }
 
 std::vector<StageStructure> WorkloadDb::dag(const std::string& workload) const {
@@ -300,6 +312,7 @@ void WorkloadDb::merge(const WorkloadDb& other) {
 void WorkloadDb::save(const std::string& path) const {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("WorkloadDb: cannot write " + path);
+  os.precision(std::numeric_limits<double>::max_digits10);
   os << "# chopper workload db v1\n";
   for (const auto& o : observations_) {
     os << "obs\t" << o.workload << "\t" << o.signature << "\t"
@@ -310,7 +323,8 @@ void WorkloadDb::save(const std::string& path) const {
   }
   for (const auto& r : oom_records_) {
     os << "oom\t" << r.workload << "\t" << r.signature << "\t"
-       << r.stage_input_bytes << "\t" << r.num_partitions << "\n";
+       << r.stage_input_bytes << "\t" << r.num_partitions << "\t"
+       << r.committed_partitions << "\n";
   }
   for (const auto& r : fault_records_) {
     os << "fault\t" << r.workload << "\t" << r.signature << "\t"
@@ -376,6 +390,12 @@ WorkloadDb WorkloadDb::load(const std::string& path, double ridge_lambda,
       r.signature = std::stoull(next_field(ls));
       r.stage_input_bytes = std::stod(next_field(ls));
       r.num_partitions = std::stod(next_field(ls));
+      // Written since the floor learned committed counts; an older 4-column
+      // line loads with none (no proven floor).
+      std::string committed;
+      if (std::getline(ls, committed, '\t')) {
+        r.committed_partitions = std::stod(committed);
+      }
       db.add_oom(std::move(r));
     } else if (tag == "fault") {
       FaultRecord r;

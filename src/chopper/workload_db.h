@@ -51,6 +51,8 @@ struct StageStructure {
   /// First-seen order (stable iteration for planning output).
   std::size_t order = 0;
 
+  bool operator==(const StageStructure&) const = default;
+
   double input_ratio() const noexcept {
     return input_ratio_count
                ? input_ratio_sum / static_cast<double>(input_ratio_count)
@@ -60,13 +62,16 @@ struct StageStructure {
 
 /// One observed out-of-memory attempt: stage `signature` with input D ran at
 /// P partitions and a task working set blew the per-task budget. Records the
-/// *failed* configuration — the memory-feasibility floor is derived from
-/// these (DESIGN.md §11).
+/// failed configuration and the partition count the stage then committed
+/// at — the memory-feasibility floor is derived from both (DESIGN.md §11).
 struct OomRecord {
   std::string workload;
   std::uint64_t signature = 0;
-  double stage_input_bytes = 0.0;  ///< stage input D at the failed attempt
-  double num_partitions = 0.0;     ///< partition count P that OOMed
+  double stage_input_bytes = 0.0;     ///< stage input D at the failed attempt
+  double num_partitions = 0.0;        ///< partition count P that OOMed
+  double committed_partitions = 0.0;  ///< P the stage committed at; 0 unknown
+
+  bool operator==(const OomRecord&) const = default;
 };
 
 /// Per-stage transient-fault telemetry from one profiled run: fetch retries
@@ -106,9 +111,9 @@ class WorkloadDb {
   ///
   /// Incremental-refit contract: the training set is put into a canonical
   /// order before fitting, so the coefficients are a pure function of the
-  /// observation *set* — refitting after each mid-run add() (the adaptive
-  /// controller's streaming path) is bit-identical to one offline fit over
-  /// the same observations, regardless of ingest order.
+  /// observation *set* — refitting after each add() is bit-identical to one
+  /// offline fit over the same observations, regardless of ingest order
+  /// (merged DBs, logs replayed in another order).
   const StageModel* model(const std::string& workload, std::uint64_t signature,
                           engine::PartitionerKind kind);
 
@@ -150,10 +155,14 @@ class WorkloadDb {
                              std::uint64_t signature) const;
 
   /// Memory-feasibility floor for the stage at input size `stage_input_bytes`
-  /// derived from recorded OOMs: each OOM at (D_o, P_o) proves a per-task
-  /// slice of D_o / P_o does not fit, so any plan must keep D / P strictly
-  /// below the smallest infeasible slice. Returns 0 when no OOM was ever
-  /// recorded (no constraint).
+  /// derived from recorded OOMs, the larger of two bounds:
+  ///  * each OOM at (D_o, P_o) proves a per-task slice of D_o / P_o does not
+  ///    fit, so a plan keeps D / P strictly below the smallest infeasible
+  ///    slice (the smallest such P, computed exactly);
+  ///  * the stage then committed at P_c, which proves the slice D_o / P_c
+  ///    fits, while every count between P_o and P_c is unproven: a plan keeps
+  ///    P >= ceil(P_c * D / D_o).
+  /// Returns 0 when no OOM was ever recorded (no constraint).
   std::size_t min_feasible_partitions(const std::string& workload,
                                       std::uint64_t signature,
                                       double stage_input_bytes) const;
@@ -183,6 +192,8 @@ class WorkloadDb {
   void merge(const WorkloadDb& other);
 
   // -- persistence ------------------------------------------------------------
+  /// Doubles are written at max_digits10, so a loaded DB fits its models on
+  /// exactly the numbers that were saved.
   void save(const std::string& path) const;
   /// Strict mode (default) throws on an unreadable file or corrupt record.
   /// Tolerant mode degrades instead: corrupt records are skipped with a

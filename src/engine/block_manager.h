@@ -177,8 +177,7 @@ class BlockManager {
 
   /// Merge planner guidance: per-dataset entries overwrite existing ones,
   /// pool shares replace listed pools (others keep their floor). The cache
-  /// planner calls this when a job plan is built and again on adaptive
-  /// re-scores at stage barriers.
+  /// planner calls this when a job plan is built.
   void merge_cache_plan(const CachePlanSnapshot& snapshot);
   /// Installed guidance for one dataset (tests / chopperctl inspection).
   std::optional<CacheGuidance> guidance_for(std::size_t dataset_id) const;

@@ -56,13 +56,15 @@ struct AdaptiveCoalescing {
 };
 
 /// Speculative execution (spark.speculation): a task whose duration exceeds
-/// `multiplier` x the stage median is assumed to get a backup copy; its
-/// effective duration becomes min(original, median * multiplier + launch).
-/// This is what bounds straggler damage from skewed partitions.
+/// kSpeculationMultiplier x the stage median is assumed to get a backup copy;
+/// its effective duration becomes min(original, median * multiplier +
+/// launch). This is what bounds straggler damage from skewed partitions.
 struct Speculation {
   bool enabled = false;
-  double multiplier = 1.5;
 };
+
+/// Backup-copy threshold of speculative execution, x the stage median.
+inline constexpr double kSpeculationMultiplier = 1.5;
 
 /// Enforced per-node memory budgets (DESIGN.md §11). When `enforce` is on,
 /// node memory stops being a purely-synthetic pricing input: the
@@ -72,7 +74,7 @@ struct Speculation {
 /// and a task whose working set exceeds the per-slot budget times
 /// `hard_ceiling` kills its stage attempt with an OOM. After
 /// `oom_repartition_after` consecutive OOMed attempts the scheduler retries
-/// the stage with `P' = ceil(P * growth_factor)` partitions — degraded but
+/// the stage with `P' = ceil(P * kOomGrowthFactor)` partitions — degraded but
 /// alive instead of dead. All byte comparisons happen in modeled bytes
 /// (raw bytes / CostModel::data_scale) against NodeSpec::memory_bytes.
 struct MemoryLimits {
@@ -89,9 +91,10 @@ struct MemoryLimits {
   /// Consecutive OOMed attempts of one stage before the scheduler grows the
   /// stage's partition count instead of retrying at the same P.
   std::size_t oom_repartition_after = 2;
-  /// Partition growth on adaptive repartition: P' = ceil(P * growth_factor).
-  double growth_factor = 1.5;
 };
+
+/// Partition growth on OOM repartition: P' = ceil(P * kOomGrowthFactor).
+inline constexpr double kOomGrowthFactor = 1.5;
 
 struct EngineOptions {
   /// Default number of partitions when neither the operator nor the active
@@ -101,8 +104,6 @@ struct EngineOptions {
   CostModel cost_model;
   /// Host threads used to actually execute tasks (0 = hardware concurrency).
   std::size_t host_threads = 0;
-  /// Record per-second utilization samples (Fig. 11-14).
-  bool record_timeline = true;
   /// Map-side combine for reduceByKey (Spark's combiner, DESIGN.md §13):
   /// pre-merges map output per (bucket, key) before it reaches the shuffle,
   /// shrinking shuffle bytes. Final results are identical either way; off
@@ -150,7 +151,7 @@ class TaskOomError : public JobAbortedError {
 /// built, before any stage executes; the returned snapshot is merged into
 /// the BlockManager so budget enforcement during the job follows the
 /// planner's priorities. Implementations must be thread-safe (concurrent
-/// service jobs plan serially, but adaptive re-scores run on job threads).
+/// service jobs plan serially, each from its own job thread).
 class CacheAdvisor {
  public:
   virtual ~CacheAdvisor() = default;

@@ -672,8 +672,7 @@ void JobRunner::execute_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
     std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
                      sorted.end());
     const double median = sorted[sorted.size() / 2];
-    const double cap =
-        median * eng_.options_.speculation.multiplier + cm_.task_launch_s;
+    const double cap = median * kSpeculationMultiplier + cm_.task_launch_s;
     for (auto& d : a.durations) {
       if (d > cap) d = cap;
     }

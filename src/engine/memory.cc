@@ -48,10 +48,9 @@ void JobRunner::detect_oom(std::size_t s, const StageMetrics& sm,
 bool JobRunner::grow_stage_partitions(std::size_t s, StageMetrics& sm) {
   const StagePlan& plan = ctx_.plan.stages[s];
   auto& rt = ctx_.rt[s];
-  const double growth = std::max(1.0, eng_.options_.memory.growth_factor);
   const std::size_t old_p = rt.num_tasks;
-  std::size_t new_p =
-      static_cast<std::size_t>(std::ceil(static_cast<double>(old_p) * growth));
+  std::size_t new_p = static_cast<std::size_t>(
+      std::ceil(static_cast<double>(old_p) * kOomGrowthFactor));
   if (new_p <= old_p) new_p = old_p + 1;
 
   switch (plan.input) {

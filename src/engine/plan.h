@@ -12,11 +12,8 @@
 // structural signature — exactly the per-stage configuration-file mechanism
 // of paper Sec. III-A. Providers may change their answers over time
 // (dynamic re-planning); the scheduler re-queries per job, memoizing each
-// signature's answer within a job the first time it is needed. An update
-// landing at a stage barrier (src/adapt patches ConfigPlanProvider from the
-// synchronous kStageEnd hook) therefore reaches every not-yet-resolved
-// scheme: stages two or more hops downstream in the running job, and all
-// stages of later jobs.
+// signature's answer within a job the first time it is needed, so an update
+// (ConfigPlanProvider::update between runs) reaches every later job.
 #pragma once
 
 #include <cstdint>

@@ -458,11 +458,9 @@ void JobRunner::price_recovery(const std::vector<std::size_t>& nodes,
   std::vector<double> starts, ends;
   std::vector<std::size_t> slots;
   const double makespan = list_schedule(nodes, durations, starts, ends, slots);
-  if (eng_.options_.record_timeline) {
-    const double t0 = now();
-    for (std::size_t i = 0; i < works.size(); ++i) {
-      eng_.timeline_.add_cpu_busy(t0 + starts[i], t0 + ends[i]);
-    }
+  const double t0 = now();
+  for (std::size_t i = 0; i < works.size(); ++i) {
+    eng_.timeline_.add_cpu_busy(t0 + starts[i], t0 + ends[i]);
   }
   advance(makespan);
   sm.recovery_time_s += makespan;

@@ -230,12 +230,6 @@ void JobRunner::run_stage(std::size_t s) {
   sm.evictions_cost += mem1.evictions_cost - mem0.evictions_cost;
 
   fold_stage(job_metrics_, sm);
-  // Stage barrier hook: kStageEnd is delivered to sinks synchronously, so an
-  // in-process sink (src/adapt's AdaptiveController) runs to completion here
-  // — any plan-provider patch it makes is visible to every scheme still
-  // unresolved, i.e. stages at least two hops downstream in this job (a
-  // consumer's scheme resolves during its producer's shuffle write) and all
-  // stages of later jobs.
   if (tracing()) emit_stage_end(s, sm);
   eng_.metrics_.add_stage(std::move(sm));
 }
@@ -350,25 +344,23 @@ void JobRunner::commit_attempt(std::size_t s, StageMetrics& sm, Attempt& a) {
   // ---- timeline samples ---------------------------------------------------
   // Byte-valued samples are rescaled to the modeled system's volume, like
   // the pricing above, so Fig. 12/13 read in paper-scale terms.
-  if (eng_.options_.record_timeline) {
-    const double t0 = now();
-    for (const auto& tm : sm.tasks) {
-      eng_.timeline_.add_cpu_busy(t0 + tm.sim_start, t0 + tm.sim_end);
-      if (tm.shuffle_read_remote > 0) {
-        eng_.timeline_.add_network(
-            t0 + tm.sim_start, t0 + tm.sim_start + tm.fetch_s,
-            static_cast<std::uint64_t>(
-                static_cast<double>(tm.shuffle_read_remote) * rescale));
-      }
+  const double t0 = now();
+  for (const auto& tm : sm.tasks) {
+    eng_.timeline_.add_cpu_busy(t0 + tm.sim_start, t0 + tm.sim_end);
+    if (tm.shuffle_read_remote > 0) {
+      eng_.timeline_.add_network(
+          t0 + tm.sim_start, t0 + tm.sim_start + tm.fetch_s,
+          static_cast<std::uint64_t>(
+              static_cast<double>(tm.shuffle_read_remote) * rescale));
     }
-    eng_.timeline_.add_transactions(t0, a.write_transactions + rt.num_tasks);
-    eng_.timeline_.add_memory(
-        t0, t0 + std::max(a.makespan, 1e-9),
-        static_cast<std::uint64_t>(
-            static_cast<double>(sm.input_bytes + sm.output_bytes +
-                                eng_.block_manager_.total_bytes()) *
-            rescale));
   }
+  eng_.timeline_.add_transactions(t0, a.write_transactions + rt.num_tasks);
+  eng_.timeline_.add_memory(
+      t0, t0 + std::max(a.makespan, 1e-9),
+      static_cast<std::uint64_t>(
+          static_cast<double>(sm.input_bytes + sm.output_bytes +
+                              eng_.block_manager_.total_bytes()) *
+          rescale));
 
   advance(a.makespan);
 

@@ -62,8 +62,6 @@ enum class EventKind : std::uint8_t {
   kChecksumFail,     ///< block integrity checksum mismatch detected
   kNodeExcluded,     ///< health scoreboard excluded a node from placement
   kNodeReadmitted,   ///< excluded node re-admitted after its backoff window
-  kModelRefit,       ///< adaptive controller refit models from live statistics
-  kPlanUpdate,       ///< adaptive controller re-chose a pending stage's scheme
   kResume,           ///< job adopted committed stages from a checkpoint WAL
   kCachePlanDecision,  ///< cache planner scored a dataset (cache/pin/drop)
   kCacheHit,         ///< cached-input partitions read resident at a stage

@@ -23,62 +23,12 @@ void EventLog::detach_all() {
   for (auto& s : old) s->flush();
 }
 
-namespace {
-
-/// Per-thread re-entrancy state: sinks may themselves emit (the adaptive
-/// controller appends kModelRefit/kPlanUpdate while handling a kStageEnd).
-/// Without this, a re-entrant emit() would recursively shared-lock
-/// `sinks_mu_` — undefined behaviour on std::shared_mutex. Nested emits are
-/// queued (seq already stamped, so they order after the triggering event)
-/// and drained once the outer fan-out releases the lock.
-struct ReentryState {
-  const void* active_log = nullptr;
-  std::vector<Event> queued;
-};
-
-ReentryState& reentry_state() {
-  thread_local ReentryState state;
-  return state;
-}
-
-/// Resets the re-entrancy marker even when a sink throws out of append()
-/// (a checkpoint writer's simulated crash propagates through emit); without
-/// this, every later emit on the thread would queue forever.
-struct ReentryGuard {
-  ReentryState& re;
-  ~ReentryGuard() {
-    re.queued.clear();
-    re.active_log = nullptr;
-  }
-};
-
-}  // namespace
-
 void EventLog::emit(Event e) {
   e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   e.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
                .count();
-  ReentryState& re = reentry_state();
-  if (re.active_log == this) {
-    re.queued.push_back(std::move(e));
-    return;
-  }
-  re.active_log = this;
-  ReentryGuard guard{re};
-  {
-    std::shared_lock lock(sinks_mu_);
-    for (const auto& s : sinks_) s->append(e);
-  }
-  // Drain events queued by sinks during the fan-out above (delivering them
-  // may queue more; the loop re-checks size each round). Sinks that need a
-  // total order must sort by seq — the documented contract — since a queued
-  // event reaches them after the event that triggered it.
-  while (!re.queued.empty()) {
-    const Event next = std::move(re.queued.front());
-    re.queued.erase(re.queued.begin());
-    std::shared_lock lock(sinks_mu_);
-    for (const auto& s : sinks_) s->append(next);
-  }
+  std::shared_lock lock(sinks_mu_);
+  for (const auto& s : sinks_) s->append(e);
 }
 
 void EventLog::flush() {

@@ -26,7 +26,9 @@
 namespace chopper::obs {
 
 /// Destination for emitted events. Implementations must be thread-safe:
-/// append() is called concurrently from every engine/service thread.
+/// append() is called concurrently from every engine/service thread. A sink
+/// must not emit() into a log from append(): the fan-out holds the log's
+/// sink lock, which is not re-entrant.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -52,9 +54,6 @@ class EventLog {
   }
 
   /// Stamp seq + wall and deliver to all sinks. `e.sim` is the caller's.
-  /// Re-entrant on the same thread: a sink may emit() into the log it is
-  /// attached to (the adaptive controller does); nested events are queued
-  /// and delivered after the outer fan-out completes, carrying later seqs.
   void emit(Event e);
 
   /// Simulated-time low-water mark for emitters without a clock.

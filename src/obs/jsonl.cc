@@ -40,8 +40,6 @@ constexpr KindName kKindNames[] = {
     {EventKind::kChecksumFail, "checksum_fail"},
     {EventKind::kNodeExcluded, "node_excluded"},
     {EventKind::kNodeReadmitted, "node_readmit"},
-    {EventKind::kModelRefit, "model_refit"},
-    {EventKind::kPlanUpdate, "plan_update"},
     {EventKind::kResume, "resume"},
     {EventKind::kCachePlanDecision, "cache_plan"},
     {EventKind::kCacheHit, "cache_hit"},

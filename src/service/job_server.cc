@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "adapt/adaptive.h"
-
 namespace chopper::service {
 
 const char* to_string(JobState s) noexcept {
@@ -134,15 +132,6 @@ JobHandle JobServer::submit(const engine::DatasetPtr& ds, SubmitOptions opts) {
     throw std::runtime_error("JobServer: submit after shutdown");
   }
   rec->seq = next_seq_++;
-  // Register the adaptive gate under the job's id before the job can emit
-  // its first event, so the controller's kJobSubmit resolution sees this
-  // job's choice (jobs sharing a name may differ in `adapt`).
-  {
-    std::lock_guard plock(plan_mu_);
-    if (adaptive_ != nullptr) {
-      adaptive_->set_job_enabled(rec->seq, rec->opts.adapt);
-    }
-  }
   rec->stats.submit_vtime = ledger_.now();
 
   if (running_ < options_.max_concurrent_jobs) {
@@ -304,33 +293,6 @@ void JobServer::run_admitted(std::shared_ptr<JobHandle::Rec> rec,
 void JobServer::wait_all() {
   std::unique_lock lock(mu_);
   idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
-}
-
-void JobServer::set_adaptive(
-    std::shared_ptr<adapt::AdaptiveController> controller) {
-  std::lock_guard lock(plan_mu_);
-  adaptive_ = std::move(controller);
-  if (adaptive_ != nullptr) {
-    // Serving is opt-in per job: unknown jobs must not steer re-planning.
-    adaptive_->set_default_enabled(false);
-    plan_cache_ = adaptive_->adapted_config();
-    plan_cache_epoch_ = adaptive_->refit_epoch();
-  } else {
-    plan_cache_ = common::KvConfig{};
-    plan_cache_epoch_ = ~std::uint64_t{0};
-  }
-}
-
-common::KvConfig JobServer::current_plan() const {
-  std::lock_guard lock(plan_mu_);
-  if (adaptive_ != nullptr) {
-    const std::uint64_t epoch = adaptive_->refit_epoch();
-    if (epoch != plan_cache_epoch_) {
-      plan_cache_ = adaptive_->adapted_config();
-      plan_cache_epoch_ = epoch;
-    }
-  }
-  return plan_cache_;
 }
 
 }  // namespace chopper::service

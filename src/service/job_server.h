@@ -34,13 +34,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/kv_config.h"
 #include "engine/engine.h"
 #include "service/slot_ledger.h"
-
-namespace chopper::adapt {
-class AdaptiveController;
-}
 
 namespace chopper::service {
 
@@ -63,10 +58,6 @@ struct SubmitOptions {
   /// (deadline/timeout cancellation); <0 = none.
   double deadline_s = -1.0;
   bool collect = false;  ///< collect records instead of counting
-  /// Feed this job's stage statistics into the attached AdaptiveController
-  /// (no-op when none is attached). Opt-in per job: a server mixes tenants,
-  /// and only the opted-in tenant's stages may steer re-planning.
-  bool adapt = false;
 };
 
 struct JobServerOptions {
@@ -140,19 +131,6 @@ class JobServer {
   /// Block until every job submitted so far has left the system.
   void wait_all();
 
-  /// Attach an in-flight adaptive controller (src/adapt). The server flips
-  /// the controller's default gate to disabled and registers every submitted
-  /// job's id with its SubmitOptions::adapt choice, so only opted-in jobs
-  /// feed re-planning. The caller still attaches the controller to the
-  /// engine's event log (that is where the statistics flow from).
-  void set_adaptive(std::shared_ptr<adapt::AdaptiveController> controller);
-
-  /// Snapshot of the adaptive controller's currently deployed plan. Cached;
-  /// re-read only when the controller's refit epoch advanced (the plan-cache
-  /// invalidation hook the adaptation loop requires). Empty when no
-  /// controller is attached.
-  common::KvConfig current_plan() const;
-
   /// Global virtual frontier of the shared ledger.
   double virtual_now() const { return ledger_.now(); }
 
@@ -180,13 +158,6 @@ class JobServer {
   std::deque<std::shared_ptr<JobHandle::Rec>> queue_;  ///< admission queue
   std::vector<std::thread> workers_;
   bool shutting_down_ = false;
-
-  /// Adaptive re-planning hookup (null: serving is plan-static). Lock order:
-  /// mu_ before plan_mu_ (submit registers the gate under both).
-  mutable std::mutex plan_mu_;
-  std::shared_ptr<adapt::AdaptiveController> adaptive_;
-  mutable common::KvConfig plan_cache_;
-  mutable std::uint64_t plan_cache_epoch_ = ~std::uint64_t{0};
 };
 
 }  // namespace chopper::service

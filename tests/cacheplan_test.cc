@@ -306,36 +306,6 @@ TEST(CachePlannerScore, DropCacheAndPinFallOutOfTheScore) {
   EXPECT_DOUBLE_EQ(pinned.priority, 12.0 * pinned.expected_reuse);
 }
 
-TEST(CachePlannerScore, RescoreMergesRefreshedPrioritiesIntoBlockManager) {
-  BlockManager bm;
-  bm.set_eviction_policy(EvictionPolicy::kCost);
-  CachePlanner planner;
-
-  auto hot = iota("r.base", 256, 2)
-                 ->map(
-                     "r.heavy", [](const Record& r) { return r; },
-                     /*work_per_record=*/32.0)
-                 ->cache();
-  const auto job = hot->map("r.read", [](const Record& r) { return r; });
-  const auto plan = engine::build_job_plan(job, bm);
-  bm.merge_cache_plan(planner.advise(plan, "job"));
-  const auto before = bm.guidance_for(hot->id());
-  ASSERT_TRUE(before.has_value());
-  EXPECT_FALSE(before->pinned);
-
-  // A refit lands new observations; rescore() (the adaptive controller's
-  // refit listener) re-prices and promotes the dataset to Pin in place.
-  core::WorkloadDb db;
-  const std::uint64_t sig = planner.last_plan().decisions[0].signature;
-  for (int i = 0; i < 4; ++i) db.add(default_obs(sig, 20.0));
-  planner.set_workload_db(&db, "wl");
-  planner.rescore(bm);
-  const auto after = bm.guidance_for(hot->id());
-  ASSERT_TRUE(after.has_value());
-  EXPECT_TRUE(after->pinned);
-  EXPECT_GT(after->priority, before->priority);
-}
-
 // ---------------------------------------------------------------------------
 // Engine integration: evict + heal identity, pinned set under OOM retry.
 // ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ TEST(ChopperFacade, DbRoundTripsThroughFacade) {
 
   EXPECT_EQ(fresh.db().total_observations(),
             chopper.db().total_observations());
-  // Plans from the restored DB match plans from the live DB.
+  // Plans from the restored DB match plans from the live DB, down to each
+  // stage's predicted cost: the file holds the exact numbers.
   const auto a = chopper.plan(wl.name(), input);
   const auto b = fresh.plan(wl.name(), input);
   ASSERT_EQ(a.size(), b.size());
@@ -65,6 +66,7 @@ TEST(ChopperFacade, DbRoundTripsThroughFacade) {
     EXPECT_EQ(a[i].signature, b[i].signature);
     EXPECT_EQ(a[i].num_partitions, b[i].num_partitions);
     EXPECT_EQ(a[i].partitioner, b[i].partitioner);
+    EXPECT_EQ(a[i].cost, b[i].cost) << a[i].name;
   }
 }
 

@@ -1,10 +1,10 @@
-// Incremental-refit parity (DESIGN.md §15): the adaptive controller streams
-// observations into the WorkloadDb one stage end at a time, refitting the
-// lazily-trained models between adds. WorkloadDb::model's canonical-order
-// contract promises the resulting coefficients are a pure function of the
-// observation *set* — so any ingest order, with or without interleaved
-// refits, must produce bit-identical coefficients and identical
-// Algorithm 1 / Algorithm 3 plan choices.
+// Incremental-refit parity: observations reach the WorkloadDb one run (or
+// one replayed stage end) at a time, and the lazily-trained models refit
+// between adds. WorkloadDb::model's canonical-order contract promises the
+// resulting coefficients are a pure function of the observation *set* — so
+// any ingest order, with or without interleaved refits, must produce
+// bit-identical coefficients and identical Algorithm 1 / Algorithm 3 plan
+// choices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,12 @@
 #include <memory>
 #include <vector>
 
-#include "adapt/adaptive.h"
 #include "chopper/chopper.h"
 #include "chopper/collector.h"
 #include "engine/engine.h"
 #include "obs/event_log.h"
+#include "obs/history.h"
+#include "obs/sinks.h"
 
 namespace chopper::core {
 namespace {
@@ -131,8 +132,8 @@ TEST(IncrementalFit, AnyIngestOrderGivesBitIdenticalCoefficients) {
     reversed.db().add(*it);
   }
 
-  // Strided ingest with a refit forced after every add — the adaptive
-  // controller's streaming pattern.
+  // Strided ingest with a refit forced after every add — the streaming
+  // pattern.
   Chopper streamed(ClusterSpec::uniform(2, 4), micro_options());
   copy_structures(base.db(), streamed.db());
   for (std::size_t stride = 0; stride < 3; ++stride) {
@@ -189,31 +190,31 @@ TEST(IncrementalFit, AlgorithmChoicesInvariantUnderIngestOrder) {
   }
 }
 
-TEST(IncrementalFit, ControllerStreamFoldMatchesOfflineCollector) {
-  // One engine run, folded two ways: streamed through the adaptive
-  // controller's kStageEnd path vs ingested offline by the StatsCollector.
+TEST(IncrementalFit, StageEndStreamFoldMatchesOfflineCollector) {
+  // One engine run, folded two ways: each logged kStageEnd decoded and
+  // folded on its own with a refit after it, vs the live registry ingested
+  // offline by the StatsCollector.
   obs::EventLog log;
-  Chopper streamed(ClusterSpec::uniform(2, 4), micro_options());
-  adapt::AdaptOptions aopts;
-  aopts.min_observations = ~std::size_t{0};  // fold only; never sweep
-  auto provider = std::make_shared<ConfigPlanProvider>();
-  auto controller = std::make_shared<adapt::AdaptiveController>(
-      streamed, kWorkload, provider, common::KvConfig{}, aopts);
-  log.attach(controller);
-
+  auto ring = std::make_shared<obs::RingSink>(1 << 16);
+  log.attach(ring);
   Engine eng(ClusterSpec::uniform(2, 4), micro_options().engine_options);
   eng.set_event_log(&log);
   eng.count(micro_job(4000), kWorkload);
   log.detach_all();
 
-  // The streaming fold measures D_w from source-stage input bytes; feed the
-  // collector the same resolved value.
   double dw = 0.0;
   for (const auto& sm : eng.metrics().stages()) {
     if (sm.anchor_op == engine::OpKind::kSource &&
         sm.parent_signatures.empty()) {
       dw += static_cast<double>(sm.input_bytes);
     }
+  }
+  Chopper streamed(ClusterSpec::uniform(2, 4), micro_options());
+  for (const auto& e : ring->snapshot()) {
+    if (e.kind != obs::EventKind::kStageEnd) continue;
+    const engine::StageMetrics s = obs::stage_from_event(e, {});
+    ingest_stage(streamed.db(), kWorkload, s, dw, /*is_default=*/false);
+    streamed.db().model(kWorkload, s.signature, s.partitioner);
   }
   Chopper offline(ClusterSpec::uniform(2, 4), micro_options());
   StatsCollector collector(offline.db());

@@ -1,11 +1,14 @@
 // Memory-feasibility feedback into the optimizer (DESIGN.md §11): OOM
 // observations flow collector -> WorkloadDb -> Optimizer floor -> config
-// plan, and the deployed plan keeps a previously-OOMing workload OOM-free.
+// plan, and the deployed plan keeps a previously-OOMing workload OOM-free —
+// also when the plan is swapped between runs of a recurring job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,12 +30,14 @@ using engine::PartitionerKind;
 // WorkloadDb: OOM records and the feasibility floor.
 // ---------------------------------------------------------------------------
 
-OomRecord oom(const std::string& wl, std::uint64_t sig, double d, double p) {
+OomRecord oom(const std::string& wl, std::uint64_t sig, double d, double p,
+              double committed = 0.0) {
   OomRecord r;
   r.workload = wl;
   r.signature = sig;
   r.stage_input_bytes = d;
   r.num_partitions = p;
+  r.committed_partitions = committed;
   return r;
 }
 
@@ -53,6 +58,40 @@ TEST(WorkloadDbOom, FloorFromTightestInfeasibleSlice) {
   EXPECT_EQ(db.min_feasible_partitions("w", 9, 1000.0), 0u);
 }
 
+TEST(WorkloadDbOom, FloorNeverReturnsTheCountThatOomed) {
+  // floor(D / (D / P)) + 1 rounds onto P itself here: 100 / (100 / 11)
+  // comes out just below 11.
+  WorkloadDb db;
+  db.add_oom(oom("w", 1, 100.0, 11.0));
+  EXPECT_EQ(db.min_feasible_partitions("w", 1, 100.0), 12u);
+
+  for (double d : {100.0, 98'765'432.1, 3.7e9}) {
+    for (std::size_t p = 2; p <= 200; ++p) {
+      WorkloadDb one;
+      one.add_oom(oom("w", 1, d, static_cast<double>(p)));
+      EXPECT_EQ(one.min_feasible_partitions("w", 1, d), p + 1)
+          << "D=" << d << " P=" << p;
+    }
+  }
+}
+
+TEST(WorkloadDbOom, CommittedCountIsAProvenFloor) {
+  // OOM at P=60, committed at P=90: every count in 61..89 is unproven, so
+  // the floor is the committed count, scaled with the queried input.
+  WorkloadDb db;
+  db.add_oom(oom("w", 1, 9000.0, 60.0, 90.0));
+  EXPECT_EQ(db.min_feasible_partitions("w", 1, 9000.0), 90u);
+  EXPECT_EQ(db.min_feasible_partitions("w", 1, 18000.0), 180u);
+  EXPECT_EQ(db.min_feasible_partitions("w", 1, 4500.0), 45u);
+  // The larger committed count of two records wins.
+  db.add_oom(oom("w", 1, 9000.0, 90.0, 135.0));
+  EXPECT_EQ(db.min_feasible_partitions("w", 1, 9000.0), 135u);
+  // A tighter infeasible slice from a record without a committed count
+  // (an older DB line) wins over both: 9000 / 150 = 60 is not below it.
+  db.add_oom(oom("w", 1, 9000.0, 150.0));
+  EXPECT_EQ(db.min_feasible_partitions("w", 1, 9000.0), 151u);
+}
+
 TEST(WorkloadDbOom, SaveLoadPruneMergeRoundTrip) {
   const std::string path = testing::TempDir() + "chopper_oom_db.txt";
   {
@@ -61,8 +100,17 @@ TEST(WorkloadDbOom, SaveLoadPruneMergeRoundTrip) {
     db.add_oom(oom("v", 3, 640.0, 4.0));
     db.save(path);
   }
+  // A line written before OOM records carried the committed count has four
+  // columns: it still loads, with no proven floor.
+  {
+    std::ofstream os(path, std::ios::app);
+    os << "oom\tu\t5\t1000\t10\n";
+  }
   WorkloadDb loaded = WorkloadDb::load(path);
-  ASSERT_EQ(loaded.oom_records().size(), 2u);
+  ASSERT_EQ(loaded.oom_records().size(), 3u);
+  EXPECT_EQ(loaded.oom_records()[2].committed_partitions, 0.0);
+  EXPECT_EQ(loaded.min_feasible_partitions("u", 5, 1000.0), 11u);
+  loaded.prune("u");
   EXPECT_EQ(loaded.min_feasible_partitions("w", 7, 1000.0), 11u);
   EXPECT_EQ(loaded.min_feasible_partitions("v", 3, 640.0), 5u);
 
@@ -133,8 +181,11 @@ TEST(CollectorOom, EmitsOneRecordPerOomedAttempt) {
   EXPECT_DOUBLE_EQ(db.oom_records()[0].num_partitions, 2.0);
   EXPECT_DOUBLE_EQ(db.oom_records()[1].num_partitions, 3.0);
   EXPECT_DOUBLE_EQ(db.oom_records()[0].stage_input_bytes, 1000.0);
-  // Tightest slice 1000/3 -> floor = floor(1000/333.3)+1 = 4.
-  EXPECT_EQ(db.min_feasible_partitions("w", 42, 1000.0), 4u);
+  EXPECT_DOUBLE_EQ(db.oom_records()[0].committed_partitions, 5.0);
+  EXPECT_DOUBLE_EQ(db.oom_records()[1].committed_partitions, 5.0);
+  // The tightest slice 1000/3 alone allows P=4 (1000/4 < 333.3), but only
+  // the committed P=5 is proven to fit.
+  EXPECT_EQ(db.min_feasible_partitions("w", 42, 1000.0), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +300,6 @@ engine::EngineOptions kmeans_options() {
   o.default_parallelism = 60;
   o.host_threads = 4;
   o.cost_model.data_scale = 1.0 / 500.0;  // bench-style modeled scale
-  o.record_timeline = false;
   return o;
 }
 
@@ -349,6 +399,105 @@ TEST(KMeansMemoryFeedback, OomRetryThenChopperPlansFeasible) {
   for (const auto& j : opt_eng->metrics().jobs()) planned_ooms += j.oom_count;
   EXPECT_EQ(planned_ooms, 0u);
   EXPECT_EQ(opt_eng->memory_ledger().totals().oom_count, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The between-run loop: a recurring job profiled small outgrows its frozen
+// plan in production. Round 1 OOMs and grows; ingest_run -> plan ->
+// ConfigPlanProvider::update before round 2 lifts the stage to the count the
+// engine proved feasible, so round 2 re-pays no OOM.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRecurring = "recurring";
+
+engine::DatasetPtr recurring_job(std::size_t rows) {
+  auto src = engine::Dataset::source(
+      "recurring.load", 8, [rows](std::size_t index, std::size_t count) {
+        engine::Partition p;
+        const std::size_t begin = rows * index / count;
+        const std::size_t end = rows * (index + 1) / count;
+        for (std::size_t i = begin; i < end; ++i) {
+          const double vals[2] = {1.0, static_cast<double>(i % 13)};
+          p.emplace(i % 64, vals, 2, 96);
+        }
+        return p;
+      });
+  return src->reduce_by_key(
+      "recurring.sum",
+      [](engine::Record& acc, const engine::Record& next) {
+        acc.values[0] += next.values[0];
+        acc.values[1] += next.values[1];
+      },
+      {}, 2.0);
+}
+
+std::vector<engine::Record> sorted_by_key(std::vector<engine::Record> rs) {
+  std::sort(rs.begin(), rs.end(),
+            [](const engine::Record& a, const engine::Record& b) {
+              return a.key < b.key;
+            });
+  return rs;
+}
+
+TEST(BetweenRunFeedback, ReplanAfterOomStartsAtTheProvenFloor) {
+  ChopperOptions copts;
+  copts.engine_options.default_parallelism = 8;
+  copts.engine_options.host_threads = 4;
+  copts.profile_partitions = {8, 16, 24};
+  copts.profile_fractions = {0.5, 1.0};
+  copts.profile_both_partitioners = false;
+  const engine::ClusterSpec ample = engine::ClusterSpec::uniform(4, 4);
+  Chopper chopper(ample, copts);
+  const double profiled = chopper.profile(
+      kRecurring,
+      [](engine::Engine& e, double s) {
+        e.count(recurring_job(static_cast<std::size_t>(6000 * s)),
+                kRecurring);
+      },
+      1.0);
+  const auto provider = chopper.make_provider(chopper.plan(kRecurring,
+                                                           profiled));
+
+  // Production runs 3x the profiled input on nodes whose per-slot ceiling
+  // is 70% of the frozen plan's largest task working set there.
+  const std::size_t rows = 18'000;
+  engine::Engine probe(ample, copts.engine_options);
+  probe.set_plan_provider(provider);
+  probe.count(recurring_job(rows), kRecurring);
+  std::uint64_t w = 0;
+  for (const auto& sm : probe.metrics().stages()) {
+    for (const auto& t : sm.tasks) w = std::max(w, t.bytes_in + t.bytes_out);
+  }
+  ASSERT_GT(w, 0u);
+  std::vector<engine::NodeSpec> nodes = ample.nodes();
+  for (auto& node : nodes) {
+    node.memory_bytes = static_cast<std::uint64_t>(
+        0.7 * static_cast<double>(w) /
+        copts.engine_options.cost_model.data_scale *
+        static_cast<double>(node.cores));
+  }
+  const engine::ClusterSpec starved(nodes);
+  engine::EngineOptions enforced = copts.engine_options;
+  enforced.memory.enforce = true;
+  enforced.memory.oom_repartition_after = 1;
+
+  engine::Engine round1(starved, enforced);
+  round1.set_plan_provider(provider);
+  const auto r1 = round1.collect(recurring_job(rows), kRecurring);
+  EXPECT_GT(r1.oom_count, 0u);
+
+  // Between the runs: ingest round 1, re-plan at its input, swap the plan.
+  const double dw = chopper.ingest_run(round1.metrics(), kRecurring, 0.0,
+                                       /*is_default=*/false);
+  provider->update(chopper.plan_config(chopper.plan(kRecurring, dw)));
+
+  engine::Engine round2(starved, enforced);
+  round2.set_plan_provider(provider);
+  const auto r2 = round2.collect(recurring_job(rows), kRecurring);
+  EXPECT_EQ(r2.oom_count, 0u);
+  EXPECT_LT(r2.sim_time_s, r1.sim_time_s);
+  // The reduction sums integer-valued doubles: exact at any partitioning.
+  EXPECT_EQ(sorted_by_key(r2.records), sorted_by_key(r1.records));
 }
 
 }  // namespace

@@ -193,6 +193,38 @@ TEST(WorkloadDb, SaveLoadRoundTrip) {
   EXPECT_NEAR(loaded.stage_input_estimate("w", 7, 123.5), 60.25, 1e-9);
 }
 
+TEST(WorkloadDb, SaveLoadIsBitExact) {
+  WorkloadDb db;
+  db.add(obs("w", 7, engine::PartitionerKind::kHash, 3.0 * 98'765'432.1,
+             98'765'432.1, 300, 4.2071234, 1.0 / 3.0));
+  OomRecord oom;
+  oom.workload = "w";
+  oom.signature = 7;
+  oom.stage_input_bytes = 98'765'432.1;
+  oom.num_partitions = 120;
+  oom.committed_partitions = 180;
+  db.add_oom(oom);
+  StageStructure st = structure(7, "the stage", 3.0 * 98'765'432.1,
+                                98'765'432.1);
+  st.parents = {3, 4};
+  st.user_fixed = true;
+  st.input_ratio_sum = 0.1 + 0.2;
+  db.add_structure("w", st);
+
+  const std::string path = ::testing::TempDir() + "/workload_db_exact.txt";
+  db.save(path);
+  const auto loaded = WorkloadDb::load(path);
+  std::remove(path.c_str());
+
+  const auto o = loaded.observations("w", 7, engine::PartitionerKind::kHash);
+  ASSERT_EQ(o.size(), 1u);
+  EXPECT_EQ(o[0], db.observations("w", 7, engine::PartitionerKind::kHash)[0]);
+  ASSERT_EQ(loaded.oom_records().size(), 1u);
+  EXPECT_EQ(loaded.oom_records()[0], oom);
+  ASSERT_TRUE(loaded.structure("w", 7).has_value());
+  EXPECT_EQ(*loaded.structure("w", 7), *db.structure("w", 7));
+}
+
 TEST(WorkloadDb, LoadMissingFileThrows) {
   EXPECT_THROW(WorkloadDb::load("/no/such/file.db"), std::runtime_error);
 }

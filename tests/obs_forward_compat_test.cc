@@ -2,8 +2,7 @@
 // binary may contain event kinds this binary does not know. Such records
 // are well-formed, so they must be skipped and counted separately from
 // malformed (corrupt/truncated) lines — readers warn, they do not imply
-// corruption. Also pins the wire round-trip of the adaptive controller's
-// kPlanUpdate / kModelRefit decision events.
+// corruption. The same rule loads logs written with kinds since removed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -72,51 +71,33 @@ TEST(ForwardCompat, HistoryReaderCountsUnknownKindsSeparately) {
   std::remove(path.c_str());
 }
 
-TEST(ForwardCompat, AdaptiveDecisionEventsRoundTrip) {
-  Event e;
-  e.kind = EventKind::kPlanUpdate;
-  e.seq = 11;
-  e.job = 2;
-  e.signature = 0x1234;
-  e.name = "micro.load";
-  e.detail = "adaptive_recurring";
-  e.partitioner = 1;
-  e.num_partitions = 180;
-  e.p_min = 120;
-  e.value = 3.5;
-  e.value2 = 9.25;
-  e.attempt = 4;
-  e.flags = kFlagOom;
-  e.list = {0, 80};
-
-  const auto back = from_jsonl(to_jsonl(e));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->kind, EventKind::kPlanUpdate);
-  EXPECT_EQ(back->signature, e.signature);
-  EXPECT_EQ(back->name, e.name);
-  EXPECT_EQ(back->detail, e.detail);
-  EXPECT_EQ(back->partitioner, e.partitioner);
-  EXPECT_EQ(back->num_partitions, e.num_partitions);
-  EXPECT_EQ(back->p_min, e.p_min);
-  EXPECT_EQ(back->value, e.value);
-  EXPECT_EQ(back->value2, e.value2);
-  EXPECT_EQ(back->attempt, e.attempt);
-  EXPECT_EQ(back->flags, e.flags);
-  EXPECT_EQ(back->list, e.list);
-
-  Event r;
-  r.kind = EventKind::kModelRefit;
-  r.name = "adaptive_recurring";
-  r.value = 1.25e9;
-  r.count = 42;
-  r.attempt = 3;
-  const auto refit = from_jsonl(to_jsonl(r));
-  ASSERT_TRUE(refit.has_value());
-  EXPECT_EQ(refit->kind, EventKind::kModelRefit);
-  EXPECT_EQ(refit->name, r.name);
-  EXPECT_EQ(refit->value, r.value);
-  EXPECT_EQ(refit->count, r.count);
-  EXPECT_EQ(refit->attempt, r.attempt);
+TEST(ForwardCompat, RemovedAdaptiveKindsLoadAsUnknown) {
+  // Lines as an earlier binary wrote them: its in-flight re-planner logged
+  // `model_refit` and `plan_update` beside the engine's own events.
+  const std::string path = temp_path("obs_removed_kinds.jsonl");
+  {
+    std::ofstream out(path);
+    out << jsonl_header() << "\n";
+    out << to_jsonl(sample_stage_end()) << "\n";
+    out << R"({"seq":8,"k":"model_refit","sim":50.74146678000001,)"
+           R"("wall":0.049460949999999997,"job":0,"attempt":1,)"
+           R"("value":32000000,"count":19,"name":"adaptive_recurring"})"
+        << "\n";
+    out << R"({"seq":9,"k":"plan_update","sim":50.74146678000001,)"
+           R"("wall":0.049474041000000003,"job":0,)"
+           R"("sig":6876514126139490550,"attempt":1,"flags":8,)"
+           R"("value":43.094792292265254,"value2":42.610389738928617,)"
+           R"("P":180,"p_min":180,"name":"source:adapt.load|map:adapt.feature",)"
+           R"("detail":"adaptive_recurring","list":[0,80]})"
+        << "\n";
+  }
+  const HistoryReader reader = HistoryReader::load(path);
+  ASSERT_EQ(reader.events().size(), 1u);
+  EXPECT_EQ(reader.events()[0].kind, EventKind::kStageEnd);
+  EXPECT_EQ(reader.skipped_unknown_kinds(), 2u);
+  EXPECT_EQ(reader.skipped_lines(), 0u);
+  EXPECT_EQ(reader.stages().size(), 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

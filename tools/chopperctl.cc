@@ -12,21 +12,16 @@
 //            shrinks every worker's executor memory and turns on budget
 //            enforcement (DESIGN.md §11): caches evict, shuffles spill, and
 //            oversized task working sets OOM + retry at a grown partition
-//            count. --adapt attaches the in-flight adaptive controller
-//            (DESIGN.md §15): live stage statistics stream into the workload
-//            DB (seeded from --db when given), models refit incrementally,
-//            and pending stages may be re-planned at stage barriers.
-//            --cache-policy cost prices evictions by recomputation cost x
-//            reuse (DESIGN.md §17). --checkpoint makes the run resumable.
+//            count. --cache-policy cost prices evictions by recomputation
+//            cost x reuse (DESIGN.md §17). --checkpoint makes the run
+//            resumable.
 //
 //   inspect  Summarize a workload DB: observations and stage DAGs.
 //
 //   serve    Multi-tenant demo: submit N mixed jobs (small "interactive"-pool
 //            aggregations + heavy "batch"-pool kmeans/sql jobs) concurrently
 //            to a JobServer over one shared engine and print per-job latency,
-//            the pool shares and the grant schedule summary. --adapt attaches
-//            an adaptive controller with every job opted in (per-job opt-in
-//            gating plus the epoch-keyed plan cache, exercised concurrently).
+//            the pool shares and the grant schedule summary.
 //
 //   chaos    Differential chaos trials (DESIGN.md §14): each seed composes a
 //            fault plan of node failures, OOMs, flaky fetches and
@@ -69,7 +64,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "adapt/adaptive.h"
 #include "cacheplan/cacheplan.h"
 #include "chaos.h"
 #include "chopper/chopper.h"
@@ -121,15 +115,12 @@ void print_usage(std::FILE* out, const std::string& cmd = "") {
                  "  chopperctl run --workload W [--conf FILE] [--scale S] "
                  "[--speculation] [--aqe]\n"
                  "                 [--mem-scale M] [--event-log FILE] [--tiny]\n"
-                 "                 [--adapt] [--db FILE] [--adapt-epsilon E]\n"
-                 "                 [--adapt-min-obs N] [--adapt-max-replans K]\n"
                  "                 [--checkpoint DIR] [--sync] "
                  "[--crash-at-seq N]\n"
                  "                 [--crash-at-barrier N] "
                  "[--crash-after-flush]\n"
                  "                 [--cache-policy lru|cost]\n"
                  "      execute the workload and print per-stage metrics;\n"
-                 "      --adapt re-plans pending stages in flight;\n"
                  "      --cache-policy cost prices evictions by recomputation\n"
                  "      cost x reuse instead of LRU (DESIGN.md §17);\n"
                  "      --checkpoint writes a crash-consistent WAL + block\n"
@@ -146,7 +137,7 @@ void print_usage(std::FILE* out, const std::string& cmd = "") {
     std::fprintf(out,
                  "  chopperctl serve [--jobs N] [--mode fifo|fair] "
                  "[--max-concurrent K]\n"
-                 "                   [--event-log FILE] [--tiny] [--adapt]\n"
+                 "                   [--event-log FILE] [--tiny]\n"
                  "                   [--checkpoint DIR] [--sync]\n"
                  "                   [--cache-policy lru|cost]\n"
                  "      multi-tenant demo over one shared engine; with\n"
@@ -235,10 +226,6 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
   bool has(const std::string& key) const { return flags.count(key) > 0; }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : parse_flag<double>(key, it->second);
-  }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback
@@ -250,8 +237,7 @@ struct Args {
 /// the next flag (`resume --sync DIR`).
 bool is_switch(const std::string& flag) {
   static const std::vector<std::string> switches = {
-      "tiny", "sync", "aqe", "speculation", "naive", "adapt",
-      "crash-after-flush"};
+      "tiny", "sync", "aqe", "speculation", "naive", "crash-after-flush"};
   return std::find(switches.begin(), switches.end(), flag) != switches.end();
 }
 
@@ -286,13 +272,12 @@ void validate_flags(const Args& args) {
       {"plan", {"workload", "db", "scale", "naive", "out", "tiny"}},
       {"run",
        {"workload", "conf", "scale", "speculation", "aqe", "mem-scale",
-        "event-log", "tiny", "adapt", "db", "adapt-epsilon", "adapt-min-obs",
-        "adapt-max-replans", "checkpoint", "sync", "crash-at-seq",
+        "event-log", "tiny", "checkpoint", "sync", "crash-at-seq",
         "crash-at-barrier", "crash-after-flush", "cache-policy"}},
       {"inspect", {"db"}},
       {"serve",
-       {"jobs", "mode", "max-concurrent", "event-log", "tiny", "adapt",
-        "checkpoint", "sync", "cache-policy"}},
+       {"jobs", "mode", "max-concurrent", "event-log", "tiny", "checkpoint",
+        "sync", "cache-policy"}},
       {"resume", {"sync"}},
       {"chaos", {"seed", "runs", "tiny", "json"}},
       {"history", {"stragglers"}},
@@ -332,8 +317,7 @@ service::SchedulingMode parse_mode(const std::string& m) {
 /// once (parse_spec); --checkpoint records it whole as runspec.kv (to_kv),
 /// and `resume` parses it back (spec_from_kv) and calls the same run() or
 /// serve(). Settings that only observe or checkpoint an invocation
-/// (--event-log, --checkpoint, --sync, --crash-*) and the --adapt/--db group,
-/// which --checkpoint refuses, stay in Args.
+/// (--event-log, --checkpoint, --sync, --crash-*) stay in Args.
 struct RunSpec {
   std::string command;  ///< "run" or "serve" (profile and plan read a subset)
   std::string workload;
@@ -515,9 +499,7 @@ struct Recorders {
   obs::EventLog log;
   std::shared_ptr<ckpt::CheckpointWriter> writer;
 
-  /// Writes `spec` to DIR/runspec.kv. Refuses --adapt with --checkpoint:
-  /// in-flight re-planning would let the restarted run choose a different
-  /// plan, voiding the bit-identical-resume contract.
+  /// Writes `spec` to DIR/runspec.kv.
   Recorders(const RunSpec& spec, const Args& args, engine::Engine& eng,
             bool resumed) {
     ckpt::CheckpointOptions copts;
@@ -534,11 +516,6 @@ struct Recorders {
     const bool checkpoint = args.has("checkpoint");
     if (!checkpoint && (copts.crash.armed() || copts.crash.after_barrier_flush)) {
       throw UsageError("--crash-at-* requires --checkpoint DIR");
-    }
-    if (checkpoint && args.has("adapt")) {
-      throw UsageError(
-          "--checkpoint cannot be combined with --adapt (in-flight "
-          "re-planning breaks bit-identical resume)");
     }
     if (args.has("event-log")) {
       log.attach(std::make_shared<obs::JsonlFileSink>(args.get("event-log")));
@@ -718,8 +695,7 @@ int run(const RunSpec& spec, const Args& args, ckpt::ResumePlan* resume) {
   engine::Engine eng(bench::bench_cluster(mem_scale), opts);
   Recorders rec(spec, args, eng, resume != nullptr);
 
-  // An empty plan leaves every stage at the engine default until a --conf
-  // scheme or the adaptive controller supplies one.
+  // An empty plan leaves every stage at the engine default.
   auto provider = std::make_shared<core::ConfigPlanProvider>(spec.plan);
   eng.set_plan_provider(provider);
   if (resume != nullptr) {
@@ -734,51 +710,16 @@ int run(const RunSpec& spec, const Args& args, ckpt::ResumePlan* resume) {
                 wl->name().c_str(), opts.default_parallelism);
   }
 
-  std::unique_ptr<core::Chopper> chopper;
-  std::shared_ptr<adapt::AdaptiveController> controller;
-  if (args.has("adapt")) {
-    chopper = std::make_unique<core::Chopper>(bench::bench_cluster(mem_scale),
-                                              chopper_options(spec.tiny));
-    if (args.has("db")) chopper->load_db(args.get("db"), /*tolerant=*/true);
-    adapt::AdaptOptions aopts;
-    aopts.epsilon = args.get_double("adapt-epsilon", aopts.epsilon);
-    aopts.min_observations =
-        args.get_size("adapt-min-obs", aopts.min_observations);
-    aopts.max_replans = args.get_size("adapt-max-replans", aopts.max_replans);
-    controller = std::make_shared<adapt::AdaptiveController>(
-        *chopper, wl->name(), provider, spec.plan, aopts);
-    controller->set_event_log(&rec.log);
-    rec.log.attach(controller);
-    eng.set_event_log(&rec.log);
-    std::printf(
-        "in-flight adaptation on (epsilon=%.2f, min-obs=%zu, "
-        "max-replans=%zu, db=%zu observations)\n",
-        aopts.epsilon, aopts.min_observations, aopts.max_replans,
-        chopper->db().total_observations());
-  }
-
   // --cache-policy cost: joint cache-plan optimizer (DESIGN.md §17). The
   // planner prices every cache() dataset when the job plan is built; the
   // block manager then evicts cheapest-to-rebuild / least-reused first.
   std::shared_ptr<cacheplan::CachePlanner> cache_planner;
   if (spec.cache_policy == engine::EvictionPolicy::kCost) {
     cache_planner = std::make_shared<cacheplan::CachePlanner>();
-    if (chopper != nullptr) {
-      // Single driver thread: planning never races the adaptive folds, so
-      // the planner may read the live DB (recurrence + measured t_exe).
-      cache_planner->set_workload_db(&chopper->db(), wl->name());
-    }
     cache_planner->set_event_log(&rec.log);
     eng.set_cache_advisor(cache_planner);
     eng.block_manager().set_eviction_policy(engine::EvictionPolicy::kCost);
-    if (controller != nullptr) {
-      // Re-score priorities at the same stage barriers that refit models.
-      auto planner = cache_planner;
-      engine::BlockManager* bm = &eng.block_manager();
-      controller->set_refit_listener([planner, bm] { planner->rescore(*bm); });
-    }
-    std::printf("cache policy: cost-aware eviction%s\n",
-                controller != nullptr ? " (re-scored at model refits)" : "");
+    std::printf("cache policy: cost-aware eviction\n");
   }
 
   try {
@@ -793,14 +734,6 @@ int run(const RunSpec& spec, const Args& args, ckpt::ResumePlan* resume) {
   }
   print_stages(eng);
   print_recovery_telemetry(eng);
-  if (controller != nullptr) {
-    const adapt::AdaptStats ast = controller->stats();
-    std::printf(
-        "adaptation: %zu observations folded, %zu refits, %zu re-plans "
-        "(%zu stages adopted, %zu suppressed by epsilon)\n",
-        ast.observations, ast.refits, ast.replans, ast.stages_adopted,
-        ast.suppressed);
-  }
   if (cache_planner != nullptr) {
     const auto plan = cache_planner->last_plan();
     std::printf("cache plan: %zu decision(s) over the job's lifetime",
@@ -884,25 +817,9 @@ int serve(const RunSpec& spec, const Args& args,
       resume != nullptr ? carry_finished_jobs(*resume, *rec.writer)
                         : std::map<std::size_t, engine::JobMetrics>{};
 
-  // --adapt: adaptive controller shared by all workers; every job opts in.
-  std::unique_ptr<core::Chopper> chopper;
-  std::shared_ptr<adapt::AdaptiveController> controller;
-  if (args.has("adapt")) {
-    auto provider = std::make_shared<core::ConfigPlanProvider>();
-    eng.set_plan_provider(provider);
-    chopper = std::make_unique<core::Chopper>(bench::bench_cluster(),
-                                              chopper_options(spec.tiny));
-    controller = std::make_shared<adapt::AdaptiveController>(
-        *chopper, "serve", provider, common::KvConfig{});
-    controller->set_event_log(&rec.log);
-    rec.log.attach(controller);
-    eng.set_event_log(&rec.log);  // before JobServer: the ledger wires in
-    std::printf("in-flight adaptation on (per-job opt-in)\n");
-  }
-
   // --cache-policy cost: tenant-aware cost-based eviction. The planner
-  // scores structurally here (no WorkloadDb — concurrent jobs would race
-  // the adaptive folds); pool weights become per-pool cache-share floors.
+  // scores structurally here (no WorkloadDb); pool weights become per-pool
+  // cache-share floors.
   std::shared_ptr<cacheplan::CachePlanner> cache_planner;
   if (spec.cache_policy == engine::EvictionPolicy::kCost) {
     cache_planner = std::make_shared<cacheplan::CachePlanner>();
@@ -919,7 +836,6 @@ int serve(const RunSpec& spec, const Args& args,
   sopts.pools["interactive"] = {/*weight=*/2.0, /*min_share=*/0.2};
   sopts.pools["batch"] = {/*weight=*/1.0, /*min_share=*/0.0};
   service::JobServer server(eng, sopts);
-  if (controller != nullptr) server.set_adaptive(controller);
   if (cache_planner != nullptr) {
     cache_planner->set_pool_shares(server.pool_share_fractions());
   }
@@ -942,7 +858,6 @@ int serve(const RunSpec& spec, const Args& args,
   for (std::size_t i = 0; i < spec.jobs; ++i) {
     service::SubmitOptions o;
     engine::DatasetPtr ds = make_serve_job(i, spec.tiny, &o.name, &o.pool);
-    o.adapt = controller != nullptr;
     names.push_back(o.name);
     pools.push_back(o.pool);
     if (cache_planner != nullptr) cache_planner->set_job_pool(o.name, o.pool);
@@ -1005,14 +920,6 @@ int serve(const RunSpec& spec, const Args& args,
     ptable.print();
     std::printf("virtual makespan: %.1fs over %zu grants\n", makespan,
                 server.grant_log().size());
-  }
-  if (controller != nullptr) {
-    const adapt::AdaptStats ast = controller->stats();
-    std::printf(
-        "adaptation: %zu observations folded, %zu re-plans, %zu stages "
-        "adopted (plan cache holds %zu entries)\n",
-        ast.observations, ast.replans, ast.stages_adopted,
-        server.current_plan().entries().size());
   }
   if (cache_planner != nullptr) {
     engine::JobMetrics t;
@@ -1169,45 +1076,6 @@ int cmd_history(const Args& args) {
                 std::to_string(sm.attempt_count)});
   }
   st.print();
-
-  // ---- adaptive re-planning ------------------------------------------------
-  // kModelRefit / kPlanUpdate markers emitted by src/adapt's controller:
-  // when present, show what was re-chosen, from what, and why.
-  bool any_adapt = false;
-  for (const auto& e : reader.events()) {
-    if (e.kind == obs::EventKind::kModelRefit ||
-        e.kind == obs::EventKind::kPlanUpdate) {
-      any_adapt = true;
-      break;
-    }
-  }
-  if (any_adapt) {
-    std::printf("\nadaptive re-planning decisions:\n");
-    bench::Table at({"sim(s)", "event", "stage", "scheme", "cost", "trigger"});
-    for (const auto& e : reader.events()) {
-      if (e.kind == obs::EventKind::kModelRefit) {
-        at.add_row({bench::Table::num(e.sim, 3), "refit", e.name, "-", "-",
-                    std::to_string(e.count) + " obs"});
-      } else if (e.kind == obs::EventKind::kPlanUpdate) {
-        std::string name = e.name;
-        if (name.size() > 32) name = name.substr(0, 29) + "...";
-        std::string scheme;
-        if (e.list.size() == 2) {
-          scheme = std::string(engine::to_string(
-                       static_cast<engine::PartitionerKind>(e.list[0]))) +
-                   "/" + std::to_string(e.list[1]) + " -> ";
-        }
-        scheme += std::string(engine::to_string(
-                      static_cast<engine::PartitionerKind>(e.partitioner))) +
-                  "/" + std::to_string(e.num_partitions);
-        at.add_row({bench::Table::num(e.sim, 3), "plan-update", name, scheme,
-                    bench::Table::num(e.value2, 3) + " -> " +
-                        bench::Table::num(e.value, 3),
-                    (e.flags & obs::kFlagOom) != 0 ? "oom-floor" : "cost"});
-      }
-    }
-    at.print();
-  }
 
   // ---- cache planning ------------------------------------------------------
   // kCachePlanDecision markers from the cache planner (src/cacheplan) and
